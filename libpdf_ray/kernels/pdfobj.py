@@ -1,4 +1,4 @@
-"""Pure-stdlib PDF object model: lexer, filters, xref, page tree.
+"""Pure-stdlib PDF object model: token grammar, filters, xref, page tree.
 
 This is the byte-level half of the engine's real-PDF decoder
 (``stages/pdf_decoder.py``).  The reference binds this layer to
@@ -6,8 +6,11 @@ pdfminer/pdfplumber (``/root/reference/libpdf/extract.py:96``); neither
 wheel exists in this environment, so the decoder is re-derived from the
 PDF 1.7 spec (ISO 32000-1) over stdlib ``zlib``/``struct`` only:
 
-- object lexer: numbers, names (``#xx``), literal + hex strings, arrays,
-  dicts, streams, indirect refs, booleans, null;
+- one regex token grammar in two modes: object mode
+  (:func:`parse_object`: numbers, names with ``#xx``, literal and hex
+  strings, arrays, dicts, streams, indirect refs, booleans, null) and
+  content mode (:func:`content_tokens`: a whole content stream or CMap,
+  operands and operators, in one ``finditer`` pass);
 - stream filters: FlateDecode (+ PNG/TIFF predictors), LZWDecode,
   ASCIIHexDecode, ASCII85Decode, RunLengthDecode — image-only codecs
   (DCT/JPX/CCITT/JBIG2) pass through undecoded, flagged;
@@ -76,270 +79,304 @@ class Keyword(bytes):
 
 NULL = object()  # PDF null singleton (distinct from "key absent")
 
+# -- token grammar ---------------------------------------------------
+#
+# One master pattern per mode.  Every match is "skip whitespace and
+# comments, then exactly one token", the skip is possessive (whitespace is
+# never a token), and the last alternative matches end of data.  So the
+# pattern matches at every position, ``finditer`` yields back-to-back
+# tokens and never resumes a search inside a comment, and a whole content
+# stream lexes in one C-level pass; Python only dispatches on the group.
+
 _WS = b"\x00\t\n\x0c\r "
-_DELIM = b"()<>[]{}/%"
-_REGULAR = bytes(
-    b for b in range(256) if b not in _WS and b not in _DELIM
+_REGULAR = rb"[^\x00\t\n\x0c\r ()<>\[\]{}/%]"
+_SKIP = rb"(?:[\x00\t\n\x0c\r ]++|%[^\r\n]*+)*+"
+_COMMON_TOKENS = (
+    rb"(?P<real>[+-]?(?:\d++\.\d*+|\.\d++))",
+    rb"(?P<int>[+-]?\d++)",
+    rb"(?P<kw>" + _REGULAR + rb"+)",
+    rb"(?P<name>/" + _REGULAR + rb"*)",
+    rb"\((?P<str>[^()\\]*+)\)",  # literal string without escapes/nesting
+    rb"(?P<lp>\()",  # any other literal string: _scan_literal
+    rb"(?P<ao>\[)",
+    rb"(?P<ac>\])",
+    rb"(?P<do><<)",
+    rb"(?P<dc>>>)",
+    rb"(?P<hex><[^>]*+>?)",
+    rb"(?P<other>.)",  # ) { } >
+    rb"(?P<end>\Z)",
 )
+# object mode: an indirect reference ``N G R``, and an all-integer array
+# such as a font's /Widths, decoded with one split() instead of one match
+# per element
+_OBJECT_TOKENS = (
+    rb"(?P<ref>([+-]?\d++)" + _SKIP + rb"([+-]?\d++)" + _SKIP
+    + rb"R(?!" + _REGULAR + rb"))",
+    rb"(?P<ints>\[(?:[\x00\t\n\x0c\r ]*+[+-]?\d++(?=[\x00\t\n\x0c\r \]]))*+"
+    rb"[\x00\t\n\x0c\r ]*+\])",
+)
+# content mode: an inline image ``BI … ID … EI`` is one token
+_CONTENT_TOKENS = (rb"(?P<bi>BI(?!" + _REGULAR + rb"))",)
+_NAME_HEX_RE = re.compile(rb"#([0-9A-Fa-f]{2})")
+# every byte that is NOT a hex digit — one translate() strips garbage from
+# hex strings
+_NON_HEX_BYTES = bytes(
+    b for b in range(256)
+    if not ((0x30 <= b <= 0x39) or (0x41 <= b <= 0x46) or (0x61 <= b <= 0x66))
+)
+
+
+class _Interned(dict):
+    """Token intern table: ``table[raw]`` builds and keeps the token on a
+    miss.  Operators and resource names repeat thousands of times per
+    page, so per-token allocation is pure overhead."""
+
+    __slots__ = ("make", "limit", "seed")
+
+    def __init__(self, make, limit: int, seed: dict):
+        super().__init__(seed)
+        self.make, self.limit, self.seed = make, limit, seed
+
+    def __missing__(self, raw: bytes):
+        if len(self) > self.limit:  # pathological-input guard
+            self.clear()
+            self.update(self.seed)
+        tok = self[raw] = self.make(raw)
+        return tok
+
+
+def _name(raw: bytes) -> Name:
+    body = raw[1:]
+    if b"#" in body:
+        body = _NAME_HEX_RE.sub(lambda mm: bytes([int(mm.group(1), 16)]), body)
+    return Name(body.decode("latin-1"))
+
+
+def _hex(raw: bytes) -> bytes:
+    digits = raw[1:-1] if raw.endswith(b">") else raw[1:]
+    digits = digits.translate(None, _NON_HEX_BYTES)
+    if len(digits) % 2:
+        digits += b"0"
+    return bytes.fromhex(digits.decode("ascii"))
+
+
+_KEYWORDS = _Interned(Keyword, 4096, {b"true": True, b"false": False, b"null": NULL})
+_NAMES = _Interned(_name, 65536, {})
+# groups that are one self-contained token → the C-level call that builds it
+_SCALARS = {
+    "real": float, "int": int, "kw": _KEYWORDS.__getitem__,
+    "name": _NAMES.__getitem__, "str": bytes, "hex": _hex,
+    "ints": lambda raw: [int(t) for t in raw[1:-1].split()],
+}
+
+
+def _grammar(extra: tuple) -> tuple:
+    """(pattern, group index → kind, group index → scalar builder)."""
+    rx = re.compile(_SKIP + rb"(?:" + rb"|".join(extra + _COMMON_TOKENS) + rb")", re.S)
+    kinds = [None] * (rx.groups + 1)
+    for name, i in rx.groupindex.items():
+        kinds[i] = name
+    return rx, tuple(kinds), tuple(_SCALARS.get(k) for k in kinds)
+
+
+_OBJECT_GRAMMAR = _grammar(_OBJECT_TOKENS)
+_CONTENT_GRAMMAR = _grammar(_CONTENT_TOKENS)
+_SKIP_RE = re.compile(_SKIP)
+_WS_OR_DELIM = _WS + b"()<>[]{}/%"
+_STREAM_RE = re.compile(_SKIP + rb"stream(?:\r\n|[\r\n])?")
 _NUM_RE = re.compile(rb"[+-]?(?:\d+\.?\d*|\.\d+)")
 _OBJ_HEAD_RE = re.compile(rb"(\d{1,10})\s+(\d{1,5})\s+obj\b")
+_XREF_SUBSECTION_RE = re.compile(rb"([+-]?\d++)" + _SKIP + rb"([+-]?\d++)")
+_XREF_ENTRY_RE = re.compile(rb"\s*(\d{10})\s+(\d{5})\s+([nf])")
+_INLINE_EI_RE = re.compile(rb"\sEI(?=[\s/\[<(%]|$)")
+_LITERAL_RE = re.compile(rb"\\(?:([0-7]{1,3})|\r\n?|\n|(.))|([()])", re.S)
+_ESCAPES = {b"n": b"\n", b"r": b"\r", b"t": b"\t", b"b": b"\b", b"f": b"\f"}
+_BI = Keyword(b"BI")
 
 
-def _is_ws(b: int) -> bool:
-    return b in (0, 9, 10, 12, 13, 32)
+def _scan_literal(data: bytes, pos: int) -> tuple:
+    """Literal string from just after its ``(``: balanced parentheses and
+    backslash escapes (ISO 32000-1 §7.3.4.2) → (bytes, end)."""
+    out = bytearray()
+    depth = 1
+    for m in _LITERAL_RE.finditer(data, pos):
+        out += data[pos:m.start()]
+        pos = m.end()
+        octal, char, paren = m.groups()
+        if paren is not None:
+            depth += 1 if paren == b"(" else -1
+            if depth == 0:
+                return bytes(out), pos
+            out += paren
+        elif octal is not None:
+            out.append(int(octal, 8) & 0xFF)
+        elif char is not None:
+            out += _ESCAPES.get(char, char)
+        # else: backslash-EOL line continuation adds nothing
+    raise PdfError("unterminated literal string")
 
 
-def _is_regular(b: int) -> bool:
-    return not _is_ws(b) and b not in b"()<>[]{}/%"
+def _inline_image(data: bytes, pos: int) -> tuple:
+    """Inline image from just after ``BI`` → (``BI`` keyword, end after
+    ``EI``); the interpreter keeps only the figure region, not the samples."""
+    idx = data.find(b"ID", pos)
+    if idx < 0:
+        raise PdfError("inline image without ID")
+    ei = _INLINE_EI_RE.search(data, idx + 2)
+    return _BI, (ei.end() if ei else len(data))
 
 
-class Lexer:
-    """Positional object parser over one immutable buffer.
+def _to_dict(items: list, strict: bool) -> dict:
+    d: dict = {}
+    key = None
+    for tok in items:
+        if key is not None:
+            d[key] = tok
+            key = None
+        elif isinstance(tok, Name):
+            key = str(tok)
+        elif strict:
+            raise PdfError(f"dict key is not a name: {tok!r}")
+        # content mode: drop a malformed key and resync on the next token
+    if key is not None and strict:
+        raise PdfError(f"dict key /{key} has no value")
+    return d
 
-    ``resolve`` (when given) is used only to chase an indirect ``/Length``
-    while scanning a stream body; content-stream tokenization passes
-    ``None`` and never sees indirect refs.
-    """
 
-    __slots__ = ("data", "pos", "resolve")
+def _lex(data: bytes, pos: int, grammar: tuple, strict: bool,
+         one: bool) -> tuple:
+    """The token loop of both modes → (top-level tokens, end).
 
-    def __init__(self, data: bytes, pos: int = 0, resolve=None):
+    Arrays and dicts are built in place, so they are single tokens of the
+    level they close in.  ``one`` stops after the first top-level token.
+    ``strict`` (object mode) raises :class:`PdfError` on a stray ``]``,
+    ``>>`` or delimiter and at end of data inside a container; otherwise
+    (content mode) stray closers are dropped, other delimiters become
+    keywords, and lexing stops where the stream goes bad, so the
+    interpreter runs every operator before that point."""
+    rx, kinds, scalars = grammar
+    top = out = []
+    outer: list = []  # enclosing (tokens, closer) pairs, innermost last
+    closer = None  # "ac" inside an array, "dc" inside a dict
+    while True:
+        for m in rx.finditer(data, pos):
+            i = m.lastindex
+            build = scalars[i]
+            if build is not None:
+                out.append(build(m[i]))
+                if one and not outer:
+                    return top, m.end()
+                continue
+            k = kinds[i]
+            if k == "ao" or k == "do":
+                outer.append((out, closer))
+                out = []
+                closer = "ac" if k == "ao" else "dc"
+                continue
+            if k == "ac" or k == "dc":
+                if k != closer:
+                    if strict:
+                        raise PdfError(f"stray {m[i]!r}")
+                    continue
+                tok = out if k == "ac" else _to_dict(out, strict)
+                out, closer = outer.pop()
+            elif k == "ref":
+                tok = Ref(int(m[i + 1]), int(m[i + 2]))
+            elif k == "lp" or k == "bi":
+                scan = _scan_literal if k == "lp" else _inline_image
+                try:
+                    tok, pos = scan(data, m.end())
+                except PdfError:
+                    if strict:
+                        raise
+                    return top, len(data)
+                out.append(tok)
+                if one and not outer:
+                    return top, pos
+                break  # restart the pass after the string / image
+            elif k == "end":
+                if outer and strict:
+                    raise PdfError("unterminated array or dict")
+                return top, len(data)
+            elif strict:
+                raise PdfError(f"unparsable byte {m[i]!r} at {m.start(i)}")
+            else:
+                tok = Keyword(m[i])
+            out.append(tok)
+            if one and not outer:
+                return top, m.end()
+
+
+def parse_object(data: bytes, pos: int = 0, resolve=None) -> tuple:
+    """Parse one object at ``pos`` → (object, end).
+
+    A dict followed by ``stream`` becomes a :class:`Stream`; ``resolve``
+    (when given) is used only to chase an indirect ``/Length``.  Raises
+    :class:`PdfError` on malformed input and at end of data."""
+    toks, end = _lex(data, pos, _OBJECT_GRAMMAR, True, True)
+    if not toks:
+        raise PdfError("unexpected end of data")
+    obj = toks[0]
+    if isinstance(obj, dict):
+        m = _STREAM_RE.match(data, end)
+        if m:
+            return _stream(data, m.end(), obj, resolve)
+    return obj, end
+
+
+def _stream(data: bytes, p: int, d: dict, resolve) -> tuple:
+    """Stream body from just after ``stream``: ``/Length`` when it lands on
+    ``endstream``, else a scan for ``endstream`` → (Stream, end)."""
+    n = len(data)
+    length = d.get("Length")
+    if isinstance(length, Ref) and resolve is not None:
+        length = resolve(length)
+    body = None
+    if isinstance(length, int) and 0 <= length <= n - p:
+        q = p + length
+        if data[q:q + 20].lstrip(b"\r\n \t").startswith(b"endstream"):
+            body = data[p:q]
+    if body is None:  # broken /Length
+        q = data.find(b"endstream", p)
+        if q < 0:
+            raise PdfError("unterminated stream")
+        body = data[p:q].rstrip(b"\r\n")
+    end = data.find(b"endstream", q)
+    return Stream(d, bytes(body)), (end + 9 if end >= 0 else n)
+
+
+def content_tokens(data: bytes) -> list:
+    """Tokenize a whole content stream (or CMap) in one pass: operands and
+    :class:`Keyword` operators in stream order, arrays and dicts nested in
+    place, each inline image one ``BI`` keyword.  Stops quietly where the
+    stream becomes unreadable."""
+    return _lex(data, 0, _CONTENT_GRAMMAR, False, False)[0]
+
+
+class ContentLexer:
+    """One content-mode token at a time over the same grammar as
+    :func:`content_tokens` (which the interpreter uses): ``parse()``
+    returns the token at ``pos`` and advances ``pos`` past it, raising
+    :class:`PdfError` at end of data."""
+
+    __slots__ = ("data", "pos")
+
+    def __init__(self, data: bytes, pos: int = 0):
         self.data = data
         self.pos = pos
-        self.resolve = resolve
 
-    # -- low level ---------------------------------------------------
-
-    def skip_ws(self) -> None:
-        data, n = self.data, len(self.data)
-        p = self.pos
-        while p < n:
-            b = data[p]
-            if _is_ws(b):
-                p += 1
-            elif b == 0x25:  # % comment to EOL
-                while p < n and data[p] not in (10, 13):
-                    p += 1
-            else:
-                break
-        self.pos = p
-
-    def _keyword(self) -> bytes:
-        data, n = self.data, len(self.data)
-        p = self.pos
-        start = p
-        while p < n and _is_regular(data[p]):
-            p += 1
-        self.pos = p
-        return data[start:p]
-
-    # -- objects -----------------------------------------------------
-
-    def parse(self, in_content: bool = False):
-        """Parse ONE object (or, in content mode, an operator keyword
-        returned as ``bytes``).  Raises :class:`PdfError` at EOF."""
-        self.skip_ws()
-        data, n = self.data, len(self.data)
-        p = self.pos
-        if p >= n:
+    def parse(self):
+        rx, _, scalars = _CONTENT_GRAMMAR
+        m = rx.match(self.data, self.pos)
+        build = scalars[m.lastindex]
+        if build is not None:  # one self-contained token: no token loop
+            self.pos = m.end()
+            return build(m[m.lastindex])
+        toks, self.pos = _lex(self.data, self.pos, _CONTENT_GRAMMAR,
+                              False, True)
+        if not toks:
             raise PdfError("unexpected end of data")
-        b = data[p]
-        if b == 0x2F:  # /Name
-            return self._parse_name()
-        if b == 0x28:  # ( literal string
-            return self._parse_literal_string()
-        if b == 0x3C:  # < hex string or << dict
-            if p + 1 < n and data[p + 1] == 0x3C:
-                return self._parse_dict_or_stream(in_content)
-            return self._parse_hex_string()
-        if b == 0x5B:  # [ array
-            self.pos = p + 1
-            out = []
-            while True:
-                self.skip_ws()
-                if self.pos >= n:
-                    raise PdfError("unterminated array")
-                if data[self.pos] == 0x5D:
-                    self.pos += 1
-                    return out
-                out.append(self.parse(in_content))
-        if b == 0x5D:
-            raise PdfError("stray ']'")
-        if b in b"+-." or 0x30 <= b <= 0x39:
-            return self._parse_number(in_content)
-        kw = self._keyword()
-        if kw == b"true":
-            return True
-        if kw == b"false":
-            return False
-        if kw == b"null":
-            return NULL
-        if in_content:
-            if not kw:  # delimiter that is no object start (e.g. '{')
-                self.pos += 1
-                return Keyword(data[p:p + 1])
-            return Keyword(kw)  # operator
-        if not kw:
-            raise PdfError(f"unparsable byte {data[p]:#x} at {p}")
-        return Keyword(kw)  # caller decides (obj/endobj handled above us)
-
-    def _parse_name(self) -> Name:
-        data, n = self.data, len(self.data)
-        p = self.pos + 1
-        out = bytearray()
-        while p < n and _is_regular(data[p]):
-            b = data[p]
-            if b == 0x23 and p + 2 < n:  # #xx escape
-                try:
-                    out.append(int(data[p + 1:p + 3], 16))
-                    p += 3
-                    continue
-                except ValueError:
-                    pass
-            out.append(b)
-            p += 1
-        self.pos = p
-        return Name(out.decode("latin-1"))
-
-    def _parse_number(self, in_content: bool):
-        m = _NUM_RE.match(self.data, self.pos)
-        if not m:  # lone +/-/. — treat as operator-ish keyword
-            kw = self._keyword()
-            if not kw:
-                self.pos += 1
-                return Keyword(self.data[self.pos - 1:self.pos])
-            return Keyword(kw)
-        self.pos = m.end()
-        tok = m.group()
-        if b"." in tok:
-            return float(tok)
-        value = int(tok)
-        if in_content:
-            return value
-        # lookahead for "gen R" (indirect reference)
-        save = self.pos
-        self.skip_ws()
-        m2 = _NUM_RE.match(self.data, self.pos)
-        if m2 and b"." not in m2.group():
-            p2 = m2.end()
-            q = p2
-            data, n = self.data, len(self.data)
-            while q < n and _is_ws(data[q]):
-                q += 1
-            if q < n and data[q] == 0x52 and (
-                q + 1 >= n or not _is_regular(data[q + 1])
-            ):
-                self.pos = q + 1
-                return Ref(value, int(m2.group()))
-        self.pos = save
-        return value
-
-    def _parse_literal_string(self) -> bytes:
-        data, n = self.data, len(self.data)
-        p = self.pos + 1
-        out = bytearray()
-        depth = 1
-        while p < n:
-            b = data[p]
-            if b == 0x5C and p + 1 < n:  # backslash escape
-                c = data[p + 1]
-                p += 2
-                if c == 0x6E:
-                    out.append(10)
-                elif c == 0x72:
-                    out.append(13)
-                elif c == 0x74:
-                    out.append(9)
-                elif c == 0x62:
-                    out.append(8)
-                elif c == 0x66:
-                    out.append(12)
-                elif c in b"()\\":
-                    out.append(c)
-                elif 0x30 <= c <= 0x37:  # octal, up to 3 digits
-                    val = c - 0x30
-                    for _ in range(2):
-                        if p < n and 0x30 <= data[p] <= 0x37:
-                            val = val * 8 + (data[p] - 0x30)
-                            p += 1
-                        else:
-                            break
-                    out.append(val & 0xFF)
-                elif c in (10, 13):  # line continuation
-                    if c == 13 and p < n and data[p] == 10:
-                        p += 1
-                else:
-                    out.append(c)
-                continue
-            if b == 0x28:
-                depth += 1
-            elif b == 0x29:
-                depth -= 1
-                if depth == 0:
-                    self.pos = p + 1
-                    return bytes(out)
-            out.append(b)
-            p += 1
-        raise PdfError("unterminated literal string")
-
-    def _parse_hex_string(self) -> bytes:
-        data, n = self.data, len(self.data)
-        p = self.pos + 1
-        digits = bytearray()
-        while p < n and data[p] != 0x3E:
-            b = data[p]
-            if (0x30 <= b <= 0x39) or (0x41 <= b <= 0x46) or (0x61 <= b <= 0x66):
-                digits.append(b)
-            p += 1
-        self.pos = min(p + 1, n)
-        if len(digits) % 2:
-            digits.append(0x30)
-        return bytes.fromhex(digits.decode("ascii"))
-
-    def _parse_dict_or_stream(self, in_content: bool):
-        data, n = self.data, len(self.data)
-        self.pos += 2
-        d: dict = {}
-        while True:
-            self.skip_ws()
-            if self.pos + 1 < n and data[self.pos] == 0x3E and data[self.pos + 1] == 0x3E:
-                self.pos += 2
-                break
-            key = self.parse(in_content)
-            if not isinstance(key, Name):
-                raise PdfError(f"dict key is not a name: {key!r}")
-            d[str(key)] = self.parse(in_content)
-        # stream?
-        save = self.pos
-        self.skip_ws()
-        if data[self.pos:self.pos + 6] == b"stream":
-            p = self.pos + 6
-            if data[p:p + 2] == b"\r\n":
-                p += 2
-            elif p < n and data[p] in (10, 13):
-                p += 1
-            length = d.get("Length")
-            if isinstance(length, Ref) and self.resolve is not None:
-                length = self.resolve(length)
-            body = None
-            if isinstance(length, int) and 0 <= length <= n - p:
-                body = data[p:p + length]
-                q = p + length
-                # verify: endstream should follow (possibly after EOL)
-                tail = data[q:q + 20].lstrip(b"\r\n \t")
-                if not tail.startswith(b"endstream"):
-                    body = None
-            if body is None:  # broken /Length — scan for endstream
-                idx = data.find(b"endstream", p)
-                if idx < 0:
-                    raise PdfError("unterminated stream")
-                body = data[p:idx].rstrip(b"\r\n")
-                q = idx
-            end = data.find(b"endstream", q)
-            self.pos = (end + 9) if end >= 0 else n
-            return Stream(d, bytes(body))
-        self.pos = save
-        return d
+        return toks[0]
 
 
 # -- filters ---------------------------------------------------------
@@ -406,9 +443,9 @@ def _lzw(data: bytes) -> bytes:
 
 
 def _ascii_hex(data: bytes) -> bytes:
-    digits = bytearray(b for b in data.split(b">")[0] if not _is_ws(b))
+    digits = data.split(b">")[0].translate(None, _WS)
     if len(digits) % 2:
-        digits.append(0x30)
+        digits += b"0"
     return bytes.fromhex(digits.decode("ascii"))
 
 
@@ -418,9 +455,7 @@ def _ascii85(data: bytes) -> bytes:
         body = body[2:]
     out = bytearray()
     group: list = []
-    for b in body:
-        if _is_ws(b):
-            continue
+    for b in body.translate(None, _WS):
         if b == 0x7A and not group:  # 'z' → four zero bytes
             out += b"\x00\x00\x00\x00"
             continue
@@ -632,16 +667,14 @@ class PdfFile:
 
     def _load_xref_section(self, off: int) -> list:
         data = self.data
-        lex = Lexer(data, off)
-        lex.skip_ws()
+        pos = _SKIP_RE.match(data, off).end()
         prevs: list = []
-        if data[lex.pos:lex.pos + 4] == b"xref":
-            lex.pos += 4
+        if data[pos:pos + 4] == b"xref":
+            pos += 4
             while True:
-                lex.skip_ws()
-                if data[lex.pos:lex.pos + 7] == b"trailer":
-                    lex.pos += 7
-                    trailer = lex.parse()
+                pos = _SKIP_RE.match(data, pos).end()
+                if data[pos:pos + 7] == b"trailer":
+                    trailer, _ = parse_object(data, pos + 7)
                     if not isinstance(trailer, dict):
                         raise PdfError("bad trailer")
                     for k, v in trailer.items():
@@ -651,35 +684,26 @@ class PdfFile:
                     if "Prev" in trailer:
                         prevs.append(int(trailer["Prev"]))
                     return prevs
-                m = _NUM_RE.match(data, lex.pos)
+                m = _XREF_SUBSECTION_RE.match(data, pos)
                 if not m:
                     raise PdfError("bad xref subsection")
-                start = int(m.group())
-                lex.pos = m.end()
-                lex.skip_ws()
-                m = _NUM_RE.match(data, lex.pos)
-                if not m:
-                    raise PdfError("bad xref subsection count")
-                count = int(m.group())
-                lex.pos = m.end()
-                entry_re = re.compile(rb"\s*(\d{10})\s+(\d{5})\s+([nf])")
+                start, count = int(m.group(1)), int(m.group(2))
+                pos = m.end()
                 for i in range(count):
-                    em = entry_re.match(data, lex.pos)
+                    em = _XREF_ENTRY_RE.match(data, pos)
                     if not em:
                         raise PdfError("bad xref entry")
                     if em.group(3) == b"n":
                         self.xref.setdefault(
                             start + i, ("o", int(em.group(1)))
                         )
-                    lex.pos = em.end()
+                    pos = em.end()
             # unreachable (loop exits via the trailer return)
         # xref stream: "N G obj <<...>> stream"
-        lex2 = Lexer(data, off, resolve=self.resolve)
-        m = _OBJ_HEAD_RE.match(data, lex2.pos)
+        m = _OBJ_HEAD_RE.match(data, off)
         if not m:
             raise PdfError(f"no xref at offset {off}")
-        lex2.pos = m.end()
-        obj = lex2.parse()
+        obj, _ = parse_object(data, m.end(), self.resolve)
         if not isinstance(obj, Stream):
             raise PdfError("xref object is not a stream")
         self._load_xref_stream(obj)
@@ -727,14 +751,13 @@ class PdfFile:
         for m in _OBJ_HEAD_RE.finditer(self.data):
             # require line-start-ish context to avoid matching inside streams
             s = m.start()
-            if s > 0 and _is_regular(self.data[s - 1]):
+            if s > 0 and self.data[s - 1] not in _WS_OR_DELIM:
                 continue
             self.xref[int(m.group(1))] = ("o", s)
         t = self.data.rfind(b"trailer")
         if t >= 0:
             try:
-                lex = Lexer(self.data, t + 7, resolve=self.resolve)
-                trailer = lex.parse()
+                trailer, _ = parse_object(self.data, t + 7, self.resolve)
                 if isinstance(trailer, dict):
                     for k, v in trailer.items():
                         self.trailer.setdefault(k, v)
@@ -796,8 +819,7 @@ class PdfFile:
                     break
             if m is None:
                 raise PdfError(f"object {num} not at xref offset")
-        lex = Lexer(data, m.end(), resolve=self.resolve)
-        return lex.parse(), int(m.group(2))
+        return parse_object(data, m.end(), self.resolve)[0], int(m.group(2))
 
     def _from_objstm(self, container: int, idx: int, want: int):
         parsed = self._objstm_cache.get(container)
@@ -808,16 +830,16 @@ class PdfFile:
             body = stm.decoded(self.resolve)
             n = int(self.resolve(stm.dict.get("N") or 0))
             first = int(self.resolve(stm.dict.get("First") or 0))
-            head = Lexer(body, 0)
+            pos = 0
             pairs = []
             for _ in range(n):
-                onum = head.parse(in_content=True)
-                ooff = head.parse(in_content=True)
+                onum, pos = parse_object(body, pos)
+                ooff, pos = parse_object(body, pos)
                 pairs.append((int(onum), int(ooff)))
             parsed = {}
             for onum, ooff in pairs:
                 try:
-                    parsed[onum] = Lexer(body, first + ooff).parse()
+                    parsed[onum] = parse_object(body, first + ooff)[0]
                 except PdfError:
                     parsed[onum] = NULL
             self._objstm_cache[container] = parsed
@@ -851,12 +873,26 @@ class PdfFile:
         out: list = []
         inherit_keys = ("Resources", "MediaBox", "CropBox", "Rotate")
 
+        def record(obj_id: int, node: dict, attrs: dict) -> None:
+            mediabox = self.resolve(attrs.get("MediaBox")) or [0, 0, 612, 792]
+            out.append(
+                {
+                    "number": len(out) + 1,
+                    "obj_id": obj_id,
+                    "dict": node,
+                    "resources": self.resolve(attrs.get("Resources")) or {},
+                    "mediabox": [float(self.resolve(v)) for v in mediabox],
+                    "rotate": int(self.resolve(attrs.get("Rotate")) or 0) % 360,
+                }
+            )
+
         def walk(ref, inherited: dict, seen: frozenset) -> None:
-            num = ref.num if isinstance(ref, Ref) else -1
-            if num in seen:
-                return
             node = self.resolve(ref)
             if not isinstance(node, dict):
+                return
+            # cycle guard: indirect nodes by ref, direct dicts by identity
+            key = ref if isinstance(ref, Ref) else id(node)
+            if key in seen:
                 return
             inh = dict(inherited)
             for k in inherit_keys:
@@ -865,19 +901,9 @@ class PdfFile:
             ntype = str(node.get("Type") or "")
             if ntype == "Pages" or (ntype != "Page" and "Kids" in node):
                 for kid in self.resolve(node.get("Kids")) or []:
-                    walk(kid, inh, seen | {num})
+                    walk(kid, inh, seen | {key})
             else:
-                mediabox = self.resolve(inh.get("MediaBox")) or [0, 0, 612, 792]
-                out.append(
-                    {
-                        "number": len(out) + 1,
-                        "obj_id": num,
-                        "dict": node,
-                        "resources": self.resolve(inh.get("Resources")) or {},
-                        "mediabox": [float(self.resolve(v)) for v in mediabox],
-                        "rotate": int(self.resolve(inh.get("Rotate")) or 0) % 360,
-                    }
-                )
+                record(ref.num if isinstance(ref, Ref) else -1, node, inh)
 
         walk(rootref, {}, frozenset())
         if not out:
@@ -888,17 +914,7 @@ class PdfFile:
                 except PdfError:
                     continue
                 if isinstance(node, dict) and str(node.get("Type") or "") == "Page":
-                    mediabox = self.resolve(node.get("MediaBox")) or [0, 0, 612, 792]
-                    out.append(
-                        {
-                            "number": len(out) + 1,
-                            "obj_id": num,
-                            "dict": node,
-                            "resources": self.resolve(node.get("Resources")) or {},
-                            "mediabox": [float(self.resolve(v)) for v in mediabox],
-                            "rotate": int(self.resolve(node.get("Rotate")) or 0) % 360,
-                        }
-                    )
+                    record(num, node, node)
         return out
 
     def content_bytes(self, page: dict) -> bytes:
@@ -934,140 +950,3 @@ def text_string(raw) -> str:
     if b.startswith(b"\xef\xbb\xbf"):
         return b[3:].decode("utf-8", "replace")
     return b.decode("latin-1", "replace")
-
-
-# -- fast content-stream lexer ---------------------------------------
-
-_ARR_END = object()
-_DICT_END = object()
-_CONTENT_TOKEN_RE = re.compile(
-    rb"[\x00\t\n\x0c\r ]*(?:"
-    rb"(?P<num>[+-]?(?:\d+\.\d*|\.\d+|\d+))"
-    rb"|(?P<name>/[^\x00\t\n\x0c\r ()<>\[\]{}/%]*)"
-    rb"|(?P<do><<)|(?P<dc>>>)"
-    rb"|(?P<hex><[^<>]*>)"
-    rb"|(?P<ao>\[)|(?P<ac>\])"
-    rb"|(?P<lp>\()"
-    rb"|(?P<kw>[^\x00\t\n\x0c\r ()<>\[\]{}/%]+)"
-    rb"|(?P<cm>%[^\r\n]*)"
-    rb"|(?P<other>.)"
-    rb")",
-    re.S,
-)
-_NAME_HEX_RE = re.compile(rb"#([0-9A-Fa-f]{2})")
-
-# Token intern caches (process-lifetime; the operator/name vocabulary of
-# PDF content streams is tiny and repeats per glyph run).
-_KW_CACHE: dict = {}
-_NAME_CACHE: dict = {}
-
-# every byte that is NOT a hex digit — one translate() strips garbage from
-# hex strings (CID text is hex-string dense; a per-byte genexpr was hot)
-_NON_HEX_BYTES = bytes(
-    b for b in range(256)
-    if not ((0x30 <= b <= 0x39) or (0x41 <= b <= 0x46) or (0x61 <= b <= 0x66))
-)
-
-
-def _scan_literal(data: bytes, pos: int):
-    """Literal-string scanner shared with the generic lexer (same escape
-    semantics); returns (bytes, end_pos)."""
-    lex = Lexer(data, pos - 1)
-    out = lex._parse_literal_string()
-    return out, lex.pos
-
-
-class ContentLexer:
-    """Regex-driven tokenizer for CONTENT streams (and CMaps): one master
-    pattern folds whitespace skipping + token classification into a
-    single match per token — ~2-3× the generic byte-at-a-time
-    :class:`Lexer` on operator-dense page content (profiled hot).  No
-    indirect refs or stream bodies exist in content streams, so the
-    grammar here is complete."""
-
-    __slots__ = ("data", "pos")
-
-    def __init__(self, data: bytes, pos: int = 0):
-        self.data = data
-        self.pos = pos
-
-    def parse(self, in_content: bool = True):  # signature-compatible
-        # Group indices follow the pattern's declaration order:
-        # 1=num 2=name 3=do 4=dc 5=hex 6=ao 7=ac 8=lp 9=kw 10=cm 11=other.
-        # Integer dispatch + interned Keyword/Name tokens: operators and
-        # resource names repeat thousands of times per page, so per-token
-        # allocation is pure overhead (profiled hot).
-        data = self.data
-        while True:
-            m = _CONTENT_TOKEN_RE.match(data, self.pos)
-            if m is None:
-                raise PdfError("unexpected end of data")
-            end = m.end()
-            if end == self.pos:
-                raise PdfError("unexpected end of data")
-            self.pos = end
-            g = m.lastindex
-            if g == 1:  # num
-                tok = m.group(1)
-                return float(tok) if b"." in tok else int(tok)
-            if g == 9:  # kw
-                kw = m.group(9)
-                tok = _KW_CACHE.get(kw)
-                if tok is None:
-                    if kw == b"true":
-                        return True
-                    if kw == b"false":
-                        return False
-                    if kw == b"null":
-                        return NULL
-                    if len(_KW_CACHE) > 4096:  # pathological-input guard
-                        _KW_CACHE.clear()
-                    tok = _KW_CACHE[kw] = Keyword(kw)
-                return tok
-            if g == 2:  # name
-                raw = m.group(2)
-                tok = _NAME_CACHE.get(raw)
-                if tok is None:
-                    body = raw[1:]
-                    if b"#" in body:
-                        body = _NAME_HEX_RE.sub(
-                            lambda mm: bytes([int(mm.group(1), 16)]), body
-                        )
-                    if len(_NAME_CACHE) > 65536:  # pathological-input guard
-                        _NAME_CACHE.clear()
-                    tok = _NAME_CACHE[raw] = Name(body.decode("latin-1"))
-                return tok
-            if g == 5:  # hex string
-                digits = m.group(5)[1:-1].translate(None, _NON_HEX_BYTES)
-                if len(digits) % 2:
-                    digits += b"0"
-                return bytes.fromhex(digits.decode("ascii"))
-            if g == 8:  # lp
-                s, self.pos = _scan_literal(data, self.pos)
-                return s
-            if g == 6:  # ao
-                out = []
-                while True:
-                    o = self.parse()
-                    if o is _ARR_END:
-                        return out
-                    if o is _DICT_END:
-                        continue  # malformed; skip
-                    out.append(o)
-            if g == 7:  # ac
-                return _ARR_END
-            if g == 3:  # do
-                d = {}
-                while True:
-                    k = self.parse()
-                    if k is _DICT_END:
-                        return d
-                    if k is _ARR_END or not isinstance(k, Name):
-                        continue  # malformed key; resync
-                    d[str(k)] = self.parse()
-            if g == 4:  # dc
-                return _DICT_END
-            if g == 10:  # comment
-                continue
-            # g == 11 "other": stray delimiter byte → operator-ish token
-            return Keyword(m.group(11))

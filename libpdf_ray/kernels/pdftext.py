@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import re
 
-from .pdfobj import ContentLexer, Keyword, Lexer, Name, PdfError, PdfFile, Stream, NULL
+from .pdfobj import Keyword, Name, PdfError, PdfFile, Stream, NULL, content_tokens
 
 # -- glyph-name → unicode (AGL subset: Latin-1 + common publishing glyphs;
 # enough for /Differences tables of western non-embedded fonts) ------------
@@ -145,16 +145,10 @@ def parse_cmap(data: bytes) -> tuple:
     ranges the test corpus uses)."""
     to_text: dict = {}
     lengths: set = set()
-    lex = ContentLexer(data, 0)
     stack: list = []
-    n = len(data)
-    while lex.pos < n:
-        try:
-            tok = lex.parse(in_content=True)
-        except PdfError:
-            break
+    for tok in content_tokens(data):
         if isinstance(tok, Keyword):
-            op = bytes(tok)
+            op = tok
             if op == b"endcodespacerange":
                 for i in range(0, len(stack) - 1, 2):
                     if isinstance(stack[i], bytes):
@@ -467,9 +461,6 @@ class _GState:
         return g
 
 
-_INLINE_EI_RE = re.compile(rb"\sEI(?=[\s/\[<(%]|$)")
-
-
 class PageInterpreter:
     """Execute one page's content → chars / segments / rects / figures.
 
@@ -514,18 +505,11 @@ class PageInterpreter:
         resources = resources or {}
         fonts = r(resources.get("Font")) or {}
         xobjects = r(resources.get("XObject")) or {}
-        lex = ContentLexer(content, 0)
         stack: list = []
         gstack: list = []
         tm = tlm = MAT_ID
-        in_text = False
-        n = len(content)
-        while lex.pos < n:
-            try:
-                tok = lex.parse(in_content=True)
-            except PdfError:
-                break
-            if not isinstance(tok, Keyword):
+        for tok in content_tokens(content):
+            if tok.__class__ is not Keyword:
                 stack.append(tok)
                 if len(stack) > 64:
                     del stack[:-32]
@@ -538,7 +522,7 @@ class PageInterpreter:
                 if op == b"Tj":
                     tm = self._show(stack[-1], gs, tm)
                 elif op == b"Tm":
-                    tlm = tuple(float(v) for v in stack[-6:])
+                    tlm = tuple(map(float, stack[-6:]))
                     tm = tlm
                 elif op == b"Td":
                     tx, ty = float(stack[-2]), float(stack[-1])
@@ -552,12 +536,11 @@ class PageInterpreter:
                         gs.font = self._font_for(fd) if isinstance(fd, dict) else None
                         gs.fsize = float(stack[-1])
                 elif op == b"BT":
-                    in_text = True
                     tm = tlm = MAT_ID
                 elif op == b"ET":
-                    in_text = False
+                    pass
                 elif op == b"rg" or op == b"RG":
-                    col = tuple(float(v) for v in stack[-3:])
+                    col = tuple(map(float, stack[-3:]))
                     if op == b"rg":
                         gs.ncolor = col
                     else:
@@ -603,7 +586,7 @@ class PageInterpreter:
                         gs = gstack.pop()
                 elif op == b"cm":
                     gs.ctm = mat_mult(
-                        tuple(float(v) for v in stack[-6:]), gs.ctm
+                        tuple(map(float, stack[-6:])), gs.ctm
                     )
                 elif op in (b"m", b"l", b"c", b"v", b"y", b"re", b"h"):
                     self._path_op(op, stack)
@@ -620,7 +603,7 @@ class PageInterpreter:
                     else:
                         gs.scolor = col
                 elif op == b"k" or op == b"K":
-                    col = tuple(float(v) for v in stack[-4:])
+                    col = tuple(map(float, stack[-4:]))
                     if op == b"k":
                         gs.ncolor = col
                     else:
@@ -637,8 +620,8 @@ class PageInterpreter:
                 elif op == b"Do":
                     self._do_xobject(stack[-1] if stack else None,
                                      xobjects, gs, depth)
-                elif op == b"BI":
-                    lex.pos = self._inline_image(content, lex.pos, gs)
+                elif op == b"BI":  # inline image, one token BI…EI
+                    self._emit_figure(gs, None)
                 elif op == b"gs" or op in (b"BMC", b"BDC", b"EMC", b"MP",
                                            b"DP", b"cs", b"CS", b"ri",
                                            b"i", b"j", b"J", b"M", b"d",
@@ -647,7 +630,6 @@ class PageInterpreter:
             except (PdfError, ValueError, TypeError, IndexError):
                 pass  # malformed operator: skip, keep interpreting
             stack = []
-        _ = in_text
 
     # -- text --------------------------------------------------------
 
@@ -799,6 +781,8 @@ class PageInterpreter:
             elif item[0] == "h":
                 if stroke:
                     close_poly()
+        if op in (b"s", b"b", b"b*") and path[-1][0] == "l":
+            close_poly()  # close-and-paint ends with an implicit h (§8.5.3.2)
         if (fill and not stroke and emit_rects and start is not None
                 and len(pts) >= 4):
             # single filled 4-corner polygon (m l l l h) — pdfminer's
@@ -895,12 +879,3 @@ class PageInterpreter:
             rec["img_height"] = int(r(xo.dict.get("Height")) or 0)
             rec["codec"] = xo.image_codec or "raw"
         self.figures.append(rec)
-
-    def _inline_image(self, content: bytes, pos: int, gs: _GState) -> int:
-        idx = content.find(b"ID", pos)
-        if idx < 0:
-            return len(content)
-        m = _INLINE_EI_RE.search(content, idx + 2)
-        end = m.end() if m else len(content)
-        self._emit_figure(gs, None)
-        return end

@@ -17,7 +17,7 @@ import pytest
 from libpdf_ray.config import PipelineConfig
 from libpdf_ray.kernels.document import extract_document, extract_document_full
 from libpdf_ray.kernels.pdfcrypt import aes_cbc_decrypt, rc4, _aes_cbc_encrypt_nopad
-from libpdf_ray.kernels.pdfobj import Lexer, Name, PdfFile, Ref, Stream, text_string
+from libpdf_ray.kernels.pdfobj import Name, PdfFile, Ref, Stream, parse_object, text_string
 from libpdf_ray.stages.pdf_decoder import decode_pdf_document
 
 PDF_DIR = "/root/reference/tests/pdf"
@@ -42,9 +42,8 @@ def _elements(name: str) -> list:
 
 class TestPdfObjects:
     def test_lexer_primitives(self):
-        lex = Lexer(b"<< /A 1 /B (lit\\)eral) /C <48656c6c6f> /D [1 2 R 3.5] "
-                    b"/E /Na#6de /F true /G null >>")
-        d = lex.parse()
+        d, _ = parse_object(b"<< /A 1 /B (lit\\)eral) /C <48656c6c6f> /D [1 2 R 3.5] "
+                            b"/E /Na#6de /F true /G null >>")
         assert d["A"] == 1
         assert d["B"] == b"lit)eral"
         assert d["C"] == b"Hello"
@@ -53,8 +52,8 @@ class TestPdfObjects:
         assert d["F"] is True
 
     def test_literal_string_escapes(self):
-        lex = Lexer(b"(a\\n\\t\\101\\\\ (nested) b)")
-        assert lex.parse() == b"a\n\tA\\ (nested) b"
+        s, _ = parse_object(b"(a\\n\\t\\101\\\\ (nested) b)")
+        assert s == b"a\n\tA\\ (nested) b"
 
     def test_text_string_utf16(self):
         assert text_string(b"\xfe\xff\x00H\x00i") == "Hi"
