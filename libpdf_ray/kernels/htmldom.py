@@ -1,4 +1,4 @@
-"""HTML main-content extraction: DOM heuristics over stdlib html.parser.
+"""HTML main-content extraction: a one-scan HTML tokenizer and DOM heuristics.
 
 The north rule names "HTML boilerplate strip … DOM heuristics" alongside
 the PDF/layout parse; this kernel is that leg.  It is the HTML analog of
@@ -7,8 +7,17 @@ per-document, deterministic.
 
 Approach (public-knowledge heuristics):
 
-* a tolerant DOM builder over ``html.parser.HTMLParser`` (void elements,
-  unclosed tags, stray close tags — all absorbed the way browsers do);
+* a tolerant DOM builder (void elements, unclosed tags, stray close
+  tags — all absorbed the way browsers do) driven by one regex token
+  grammar: ``parse_html`` scans a page once with ``finditer`` and builds
+  the tree inside the loop.  Text runs, well-formed start tags and plain
+  end tags take the fast alternatives; every other ``<`` goes to a slow
+  path that replays stdlib ``html.parser`` (Python 3.11.7) for it —
+  comments, declarations, marked sections, tolerant tags, incomplete
+  constructs at end of input.  The contract is stdlib equivalence: the
+  same DOM (adjacent text merged), title and exception as an
+  ``HTMLParser(convert_charrefs=True)`` tree builder fed the whole page,
+  pinned by a differential test (tests/test_html_grammar.py);
 * structural pruning of non-content subtrees — ``<script>``, ``<style>``,
   ``<nav>``, ``<aside>``, ``<footer>``, ``<header>``, forms — plus
   class/id pattern pruning (``sidebar``, ``comment``, ``ad``, ``banner``,
@@ -32,7 +41,6 @@ from __future__ import annotations
 import html as _html
 import re
 import zlib
-from html.parser import HTMLParser
 
 # -- DOM ---------------------------------------------------------------
 
@@ -85,72 +93,320 @@ class _Node:
         self.children: list = []  # _Node | str
 
 
-class _DomBuilder(HTMLParser):
-    """Tolerant tree builder: implicit closes for mismatched tags."""
+# browsers' implicit end tags (HTML5 "optional tags"): start tag → the open
+# tags it closes when one of them is on top of the stack.  Every block
+# closes an open <p>; repeated li/td/th/tr/dd/dt/option close their
+# predecessor.  Without this, unclosed-<p> soups nest instead of chaining
+# (wrong text order).
+_CLOSES = {t: ("p",) for t in BLOCK_TAGS}
+_CLOSES.update(
+    li=("p", "li"),
+    td=("p", "td", "th"),
+    th=("p", "td", "th"),
+    tr=("p", "td", "th", "tr"),
+    dd=("p", "dd", "dt"),
+    dt=("p", "dd", "dt"),
+    option=("option",),
+)
 
-    def __init__(self):
-        super().__init__(convert_charrefs=True)
-        self.root = _Node("#root", {})
-        self.stack = [self.root]
-        self.title_parts: list[str] = []
-        self._in_title = 0
+# -- token grammar -----------------------------------------------------
+#
+# One ``finditer`` scan per page.  The fast alternatives cover well-formed
+# markup: a text run, a start tag whose attributes are ``name``,
+# ``name="v"``, ``name='v'`` or ``name=v`` separated by ASCII whitespace,
+# and a plain end tag.  Each is narrow enough that html.parser reads
+# whatever it matches the same way.  Any other ``<`` matches the last
+# alternative and goes to ``_slow``, which replays html.parser's decision
+# for it.
+_TOKEN = re.compile(
+    r"""([^<]+)"""                                    # 1 text run
+    r"""|<([a-zA-Z][^\t\n\r\f />\x00]*)"""            # 2 start tag name
+    r"""((?:[ \t\n\r\f]+[^\s/>"'=][^\s/>=]*"""        # 3 attributes
+    r"""(?:[ \t\n\r\f]*=[ \t\n\r\f]*(?:"[^"]*"|'[^']*'|[^\s>"'=][^\s>]*))?)*)"""
+    r"""[ \t\n\r\f]*(/?)>"""                          # 4 "/" of "<br/>"
+    r"""|</([a-zA-Z][-.a-zA-Z0-9:_]*)>"""             # 5 end tag name
+    r"""|<"""
+)
+_ATTR = re.compile(
+    r"""[ \t\n\r\f]+([^\s/>"'=][^\s/>=]*)"""
+    r"""(?:[ \t\n\r\f]*=[ \t\n\r\f]*("[^"]*"|'[^']*'|[^\s>"'=][^\s>]*))?"""
+)
 
-    # browsers' implicit end tags (HTML5 "optional tags"): a new block
-    # closes an open <p>; repeated li/td/th/tr/dd/dt/option close their
-    # predecessor.  html.parser does none of this by itself, and without
-    # it unclosed-<p> soups nest instead of chaining (wrong text order).
-    _SELF_CLOSERS = {
-        "li": ("li",),
-        "td": ("td", "th"),
-        "th": ("td", "th"),
-        "tr": ("td", "th", "tr"),
-        "dd": ("dd", "dt"),
-        "dt": ("dd", "dt"),
-        "option": ("option",),
-    }
+# script/style content is raw text up to the matching end tag
+_RAW_END = {
+    "script": re.compile(r"</\s*script\s*>", re.I),
+    "style": re.compile(r"</\s*style\s*>", re.I),
+}
 
-    def handle_starttag(self, tag, attrs):
-        top = self.stack[-1].tag
-        if top == "p" and (tag == "p" or tag in BLOCK_TAGS):
-            self.stack.pop()
-        elif top in self._SELF_CLOSERS.get(tag, ()):
-            self.stack.pop()
-        node = _Node(tag, dict(attrs))
-        self.stack[-1].children.append(node)
-        if tag == "title":
-            self._in_title += 1
-        if tag not in VOID_TAGS:
-            self.stack.append(node)
+# Slow-path patterns, copied from Python 3.11.7 ``html/parser.py``
+# (locatestarttagend_tolerant, tagfind_tolerant, attrfind_tolerant,
+# endtagfind) and ``_markupbase.py`` (declaration names, comment and
+# marked-section closers).
+_LOCATESTARTTAGEND = re.compile(r"""
+  <[a-zA-Z][^\t\n\r\f />\x00]*       # tag name
+  (?:[\s/]*                          # optional whitespace before attribute name
+    (?:(?<=['"\s/])[^\s/>][^\s/=>]*  # attribute name
+      (?:\s*=+\s*                    # value indicator
+        (?:'[^']*'                   # LITA-enclosed value
+          |"[^"]*"                   # LIT-enclosed value
+          |(?!['"])[^>\s]*           # bare value
+         )
+        \s*                          # possibly followed by a space
+       )?(?:\s|/(?!>))*
+     )*
+   )?
+  \s*                                # trailing whitespace
+""", re.VERBOSE)
+_TAGFIND = re.compile(r"([a-zA-Z][^\t\n\r\f />\x00]*)(?:\s|/(?!>))*")
+_ATTRFIND = re.compile(
+    r"((?<=['\"\s/])[^\s/>][^\s/=>]*)(\s*=+\s*"
+    r"('[^']*'|\"[^\"]*\"|(?!['\"])[^>\s]*))?(?:\s|/(?!>))*"
+)
+_ENDTAGFIND = re.compile(r"</\s*([a-zA-Z][-.a-zA-Z0-9:_]*)\s*>")
+_STARTTAGOPEN = re.compile(r"<[a-zA-Z]")
+_COMMENTCLOSE = re.compile(r"--\s*>")
+_DECLNAME = re.compile(r"[a-zA-Z][-_.a-zA-Z0-9]*\s*")
+_MARKED_CLOSE = re.compile(r"]\s*]\s*>")
+_MS_MARKED_CLOSE = re.compile(r"]\s*>")
 
-    def handle_startendtag(self, tag, attrs):
-        self.stack[-1].children.append(_Node(tag, dict(attrs)))
+# token kinds; _END is also the number of _TOKEN's end-tag group
+_SKIP, _TEXT, _START, _SELF, _END = 0, 1, 2, 3, 5
 
-    def handle_endtag(self, tag):
-        if tag == "title" and self._in_title:
-            self._in_title -= 1
-        if tag in VOID_TAGS:
-            return
-        # close the nearest matching open tag (browsers' implicit closes);
-        # a stray close tag with no match is dropped
-        for i in range(len(self.stack) - 1, 0, -1):
-            if self.stack[i].tag == tag:
-                del self.stack[i:]
-                return
 
-    def handle_data(self, data):
-        if self._in_title:
-            self.title_parts.append(data)
-        if data:
-            self.stack[-1].children.append(data)
+def _attrs(s: str) -> dict:
+    """Attribute text of a fast-path start tag → {lowercased name: value}."""
+    attrs = {}
+    for name, value in _ATTR.findall(s):
+        if not value:
+            value = None  # a fast-path value is never empty
+        else:
+            if value[0] in "\"'":
+                value = value[1:-1]
+            if "&" in value:
+                value = _html.unescape(value)
+        attrs[name.lower()] = value
+    return attrs
+
+
+def _slow(text: str, i: int) -> tuple:
+    """The ``<`` at ``i`` that the fast grammar refused, read as
+    html.parser's ``goahead`` reads it at end of input (Python 3.11.7)
+    → ``(end, kind, value, attrs)``: ``value`` is the tag name, or the
+    text for ``_TEXT``."""
+    if _STARTTAGOPEN.match(text, i):
+        tok = _slow_start(text, i)
+    elif text.startswith("</", i):
+        tok = _slow_end(text, i)
+    elif text.startswith("<!--", i):
+        m = _COMMENTCLOSE.search(text, i + 4)
+        tok = (m.end(), _SKIP, None, None) if m else None
+    elif text.startswith("<?", i):
+        k = text.find(">", i + 2)
+        tok = (k + 1, _SKIP, None, None) if k >= 0 else None
+    elif text.startswith("<![", i):
+        tok = _marked_section(text, i)
+    elif text.startswith("<!", i):
+        # <!doctype …> or a bogus comment: both end at the next ">"
+        k = text.find(">", i + (9 if text[i : i + 9].lower() == "<!doctype" else 2))
+        tok = (k + 1, _SKIP, None, None) if k >= 0 else None
+    else:
+        return i + 1, _TEXT, "<", None  # "<" before a non-markup char, or at EOF
+    if tok is None:
+        # an incomplete construct at end of input becomes text up to and
+        # including the next ">", else up to the next "<", else just "<"
+        k = text.find(">", i + 1)
+        if k < 0:
+            k = text.find("<", i + 1)
+            if k < 0:
+                k = i + 1
+        else:
+            k += 1
+        return k, _TEXT, _html.unescape(text[i:k]), None
+    return tok
+
+
+def _slow_start(text: str, i: int):
+    """html.parser's ``parse_starttag`` with ``check_for_whole_start_tag``."""
+    j = _LOCATESTARTTAGEND.match(text, i).end()
+    nxt = text[j : j + 1]
+    if nxt == ">":
+        endpos = j + 1
+    elif nxt == "/":
+        if not text.startswith("/>", j):
+            return None
+        endpos = j + 2
+    elif not nxt or nxt in "abcdefghijklmnopqrstuvwxyz=/ABCDEFGHIJKLMNOPQRSTUVWXYZ":
+        return None
+    else:
+        endpos = j if j > i else i + 1
+    m = _TAGFIND.match(text, i + 1)
+    k = m.end()
+    tag = m.group(1).lower()
+    attrs = {}
+    while k < endpos:
+        m = _ATTRFIND.match(text, k)
+        if not m:
+            break
+        name, rest, value = m.group(1, 2, 3)
+        if not rest:
+            value = None
+        elif value[:1] == "'" == value[-1:] or value[:1] == '"' == value[-1:]:
+            value = value[1:-1]
+        if value:
+            value = _html.unescape(value)
+        attrs[name.lower()] = value
+        k = m.end()
+    end = text[k:endpos].strip()
+    if end not in (">", "/>"):
+        return endpos, _TEXT, text[i:endpos], None
+    return endpos, _SELF if end == "/>" else _START, tag, attrs
+
+
+def _slow_end(text: str, i: int):
+    """html.parser's ``parse_endtag`` outside script/style."""
+    gt = text.find(">", i + 1)
+    if gt < 0:
+        return None
+    m = _ENDTAGFIND.match(text, i)
+    if m:
+        return gt + 1, _END, m.group(1).lower(), None
+    m = _TAGFIND.match(text, i + 2)
+    if m:
+        # </name junk>: the junk up to the next ">" is ignored
+        return text.find(">", m.end()) + 1, _END, m.group(1).lower(), None
+    return gt + 1, _SKIP, None, None  # "</>" or a bogus comment "</…>"
+
+
+def _marked_section(text: str, i: int):
+    """``<![keyword …]]>`` / ``<![if …]>``; an unknown keyword raises
+    AssertionError, as html.parser does."""
+    j = i + 3
+    if j == len(text):
+        return None
+    m = _DECLNAME.match(text, j)
+    if not m:
+        raise AssertionError("expected name token at %r" % text[i : i + 20])
+    if m.end() == len(text):
+        return None
+    name = m.group().strip().lower()
+    if name in ("temp", "cdata", "ignore", "include", "rcdata"):
+        close = _MARKED_CLOSE.search(text, j)
+    elif name in ("if", "else", "endif"):
+        close = _MS_MARKED_CLOSE.search(text, j)
+    else:
+        raise AssertionError(
+            "unknown status keyword %r in marked section" % text[j : m.end()]
+        )
+    return (close.end(), _SKIP, None, None) if close else None
+
+
+def _raw_text(text: str, start: int, tag: str):
+    """script/style content from ``start`` → ``(stop, resume)``: the raw
+    text (never unescaped) is ``text[start:stop]``, and the scan resumes
+    after the end tag, or ``resume`` is None when there is none.  A
+    case-insensitive match that is not an ASCII end tag (``re.I`` folds
+    "ſ" to "s") stays text, as in html.parser."""
+    raw_end = _RAW_END[tag]
+    stop = start
+    e = raw_end.search(text, start)
+    while e is not None and not _ENDTAGFIND.match(text, e.start()):
+        stop = e.end()
+        e = raw_end.search(text, stop)
+    if e is None:
+        return stop, None
+    return e.start(), e.end()
 
 
 def parse_html(text: str) -> tuple[_Node, str]:
-    """HTML → (DOM root, page title)."""
-    b = _DomBuilder()
-    b.feed(text)
-    b.close()
-    title = " ".join("".join(b.title_parts).split())
-    return b.root, title
+    """HTML → (DOM root, page title), in one scan of the token grammar."""
+    root = _Node("#root", {})
+    stack = [root]
+    top = root
+    kids = root.children
+    title: list[str] = []
+    in_title = 0
+    unescape = _html.unescape
+    closes_for = _CLOSES.get
+    pos = 0
+    while True:
+        for m in _TOKEN.finditer(text, pos):
+            kind = m.lastindex
+            if kind == 1:
+                data = m[1]
+                if "&" in data:
+                    data = unescape(data)
+                    if not data:
+                        continue
+                if in_title:
+                    title.append(data)
+                kids.append(data)
+                continue
+            end = 0  # set by _slow: where the scan resumes
+            if kind == _END:
+                tag = m[5].lower()
+            elif kind == 4:
+                tag = m[2].lower()
+                attrs = m[3]
+                attrs = _attrs(attrs) if attrs else {}
+                kind = _SELF if m[4] else _START
+            else:
+                end, kind, tag, attrs = _slow(text, m.start())
+            if kind == _END:
+                if in_title and tag == "title":
+                    in_title -= 1
+                if tag == top.tag:
+                    stack.pop()
+                    top = stack[-1]
+                    kids = top.children
+                elif tag not in VOID_TAGS:
+                    # close the nearest matching open tag; a stray close
+                    # tag with no match is dropped
+                    for i in range(len(stack) - 2, 0, -1):
+                        if stack[i].tag == tag:
+                            del stack[i:]
+                            top = stack[-1]
+                            kids = top.children
+                            break
+            elif kind == _START:
+                closes = closes_for(tag)
+                if closes and top.tag in closes:
+                    stack.pop()
+                    top = stack[-1]
+                    kids = top.children
+                node = _Node(tag, attrs)
+                kids.append(node)
+                if tag not in VOID_TAGS:
+                    stack.append(node)
+                    top = node
+                    kids = node.children
+                    if tag == "title":
+                        in_title += 1
+                    elif tag in _RAW_END:
+                        start = end or m.end()
+                        stop, resume = _raw_text(text, start, tag)
+                        if stop > start:
+                            if in_title:
+                                title.append(text[start:stop])
+                            kids.append(text[start:stop])
+                        stack.pop()
+                        top = stack[-1]
+                        kids = top.children
+                        # an unclosed element drops the rest of the page
+                        pos = len(text) if resume is None else resume
+                        break
+            elif kind == _SELF:
+                kids.append(_Node(tag, attrs))
+            elif kind == _TEXT:
+                if in_title:
+                    title.append(tag)
+                if tag:
+                    kids.append(tag)
+            if end:
+                pos = end
+                break
+        else:
+            break
+    return root, " ".join("".join(title).split())
 
 
 # -- main-content classification ---------------------------------------

@@ -1,13 +1,14 @@
 """HTML main-content extraction over Ray Data — the "HTML boilerplate
 strip, DOM heuristics" leg of the north rule.
 
-Deployment shape: a corpus of raw HTML pages streams through an
-actor-pool ``map_batches`` stage (the parser tables compile once per
-actor in ``__init__``), each page parsed into a DOM and reduced to its
-main-content record (kernels/htmldom.py).  Per-document python parsing
-IS the workload here, exactly like the PDF byte decoder — the
-distribution win is Ray streaming blocks of pages through the pool with
-backpressure, not vectorizing the parse itself.
+Deployment shape: a corpus of raw HTML pages streams through stateless
+``map_batches`` tasks (the token grammar and prune tables are
+module-level compiled constants, so there is no per-worker state to warm
+up), each page parsed into a DOM and reduced to its main-content record
+(kernels/htmldom.py).  Per-document python parsing IS the workload here,
+exactly like the PDF byte decoder — the distribution win is Ray
+streaming blocks of pages through the tasks with backpressure, not
+vectorizing the parse itself.
 
 Oracle loop: this container has no real HTML corpus, so the pipeline's
 first stage *renders* one deterministically from the ``documents`` table
@@ -139,7 +140,7 @@ def read_html_files(paths, parallelism: int = -1):
     ds = rd.read_binary_files(
         paths,
         include_paths=True,
-        parallelism=parallelism,
+        override_num_blocks=parallelism,
         file_extensions=["html", "htm", "HTML", "HTM"],
     )
 

@@ -65,7 +65,8 @@ class MediaFeatureExtractor:
         path = os.path.join(self.media_root, media_ref)
         with open(path, "rb") as fh:
             arr = self._decode_png(fh.read())
-        rgb = arr[:, :, :3] if arr.shape[2] >= 3 else np.repeat(arr, 3, axis=2)
+        # gray (1 channel) and gray+alpha (2): repeat the gray channel only
+        rgb = arr[:, :, :3] if arr.shape[2] >= 3 else np.repeat(arr[:, :, :1], 3, axis=2)
         mean = (rgb.reshape(-1, 3).mean(axis=0) / 255.0).tolist()
         return {"width": arr.shape[1], "height": arr.shape[0],
                 "mean_rgb": mean, "pixels": rgb}

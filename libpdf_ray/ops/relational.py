@@ -55,6 +55,19 @@ def _lookup(sf_dir: str, table: str, key: str, val: str) -> dict:
     return dict(zip(t.column(key).to_pylist(), t.column(val).to_pylist()))
 
 
+def _group_aggregate(part, keys, aggs, names):
+    """``part.group_by(keys).aggregate(aggs)`` → columns ``keys + names``.
+
+    The output columns are picked by their pyarrow names (``<col>_<fn>``),
+    never by position: pyarrow has put the key columns first in some major
+    versions and last in others, and a positional rename would mislabel
+    every column without an error."""
+    agg = part.group_by(keys).aggregate(aggs)
+    return agg.select(list(keys) + [f"{c}_{fn}" for c, fn in aggs]).rename_columns(
+        list(keys) + list(names)
+    )
+
+
 def _sum_combine(partials, key_cols, est_keys: int):
     """Tree-merged sum combine for grouped per-batch partials.
 
@@ -131,14 +144,12 @@ def q_pricing_summary(sf_dir: str):
                 "discpct_i": disc_p,
             }
         )
-        agg = part.group_by(["l_returnflag", "l_linestatus"]).aggregate(
+        return _group_aggregate(
+            part,
+            ["l_returnflag", "l_linestatus"],
             [("qty_i", "sum"), ("base_i", "sum"), ("disc_i", "sum"),
-             ("charge_i", "sum"), ("discpct_i", "sum"),
-             ("qty_i", "count")]
-        )
-        return agg.rename_columns(
-            ["l_returnflag", "l_linestatus", "qty_i", "base_i", "disc_i",
-             "charge_i", "discpct_i", "n"]
+             ("charge_i", "sum"), ("discpct_i", "sum"), ("qty_i", "count")],
+            ["qty_i", "base_i", "disc_i", "charge_i", "discpct_i", "n"],
         )
 
     agg = _sum_combine(
@@ -388,11 +399,11 @@ def q_events_hourly(sf_dir: str):
                 ),
             }
         )
-        agg = part.group_by(["event_type", "hour_bucket"]).aggregate(
-            [("value_i", "sum"), ("value_i", "count")]
-        )
-        return agg.rename_columns(
-            ["event_type", "hour_bucket", "value_i", "n"]
+        return _group_aggregate(
+            part,
+            ["event_type", "hour_bucket"],
+            [("value_i", "sum"), ("value_i", "count")],
+            ["value_i", "n"],
         )
 
     agg = _sum_combine(

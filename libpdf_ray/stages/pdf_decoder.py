@@ -550,7 +550,7 @@ def read_pdf_files(paths, parallelism: int = -1):
     ds = ray.data.read_binary_files(
         paths,
         include_paths=True,
-        parallelism=parallelism,
+        override_num_blocks=parallelism,
         file_extensions=["pdf", "PDF"],
     )
 

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pandas as pd
+import pyarrow as pa
 import pytest
 
 from libpdf_ray.ops.dedup import (
@@ -1073,3 +1074,44 @@ class TestTrimmedMean:
         # hand check: 3 copies of 1.00 and 2 copies of 99.0 survive
         kept = [1.0] * 3 + [float(v) for v in range(2, 33)] + [99.0] * 2
         assert abs(got["trimmed_mean"].iloc[0] - sum(kept) / len(kept)) < 1e-9
+
+
+class TestGroupAggregateByName:
+    """The pricing_summary/events_hourly partials pick pyarrow's
+    group_by().aggregate() output columns by name, not by position."""
+
+    TABLE = pa.table(
+        {
+            "k": pa.array(["a", "b", "a", "a"]),
+            "x": pa.array([1, 10, 2, 3], pa.int64()),
+            "y": pa.array([100, 200, 300, 400], pa.int64()),
+        }
+    )
+    AGGS = [("x", "sum"), ("y", "sum"), ("x", "count")]
+
+    def check(self, out):
+        assert out.column_names == ["k", "sx", "sy", "n"]
+        rows = {r["k"]: r for r in out.to_pylist()}
+        assert rows["a"]["sx"] == 6 and rows["b"]["sx"] == 10
+        assert rows["a"]["sy"] == 800 and rows["b"]["sy"] == 200
+        assert rows["a"]["n"] == 3 and rows["b"]["n"] == 1
+
+    def test_named_columns(self):
+        from libpdf_ray.ops.relational import _group_aggregate
+
+        self.check(_group_aggregate(self.TABLE, ["k"], self.AGGS, ["sx", "sy", "n"]))
+
+    def test_keys_last_layout(self, monkeypatch):
+        """A pyarrow that puts the keys after the aggregates (older major
+        versions) must still yield correctly labelled columns."""
+        from libpdf_ray.ops.relational import _group_aggregate
+
+        real = pa.TableGroupBy.aggregate
+
+        def keys_last(self, aggs):
+            t = real(self, aggs)
+            names = t.column_names
+            return t.select([n for n in names if n != "k"] + ["k"])
+
+        monkeypatch.setattr(pa.TableGroupBy, "aggregate", keys_last)
+        self.check(_group_aggregate(self.TABLE, ["k"], self.AGGS, ["sx", "sy", "n"]))

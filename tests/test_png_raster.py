@@ -179,6 +179,35 @@ class TestMediaSinks:
         mean_r = arr[:, :, 0].mean() / 255.0
         assert abs(out["media_features"][0][0] - mean_r) < 1e-6
 
+    def test_gray_alpha_png_uses_gray_channel_only(self, tmp_path):
+        """Color type 4 (gray+alpha) decodes to HxWx2; the extractor must
+        repeat the gray channel alone, not mix alpha into mean_rgb."""
+        import struct
+        import zlib
+
+        from libpdf_ray.ops.multimodal import MediaFeatureExtractor
+
+        def chunk(kind, body):
+            return (struct.pack(">I", len(body)) + kind + body
+                    + struct.pack(">I", zlib.crc32(kind + body) & 0xFFFFFFFF))
+
+        h, w = 5, 7
+        gray = (np.arange(h * w, dtype=np.uint8) * 7).reshape(h, w)
+        ga = np.stack([gray, np.full((h, w), 255, np.uint8)], axis=2)
+        raw = np.concatenate(
+            [np.zeros((h, 1), np.uint8), ga.reshape(h, w * 2)], axis=1
+        )
+        png = (b"\x89PNG\r\n\x1a\n"
+               + chunk(b"IHDR", struct.pack(">IIBBBBB", w, h, 8, 4, 0, 0, 0))
+               + chunk(b"IDAT", zlib.compress(raw.tobytes()))
+               + chunk(b"IEND", b""))
+        assert decode_png(png).shape == (h, w, 2)
+        (tmp_path / "ga.png").write_bytes(png)
+        meta = MediaFeatureExtractor(media_root=str(tmp_path))._real_decode("ga.png")
+        assert (meta["width"], meta["height"]) == (w, h)
+        assert meta["pixels"].reshape(-1, 3).shape[0] == h * w
+        assert meta["mean_rgb"] == pytest.approx([gray.mean() / 255.0] * 3)
+
     def test_crop_writer_png_over_real_pdf(self, ray_session, tmp_path):
         """End-to-end K2 on a REAL reference PDF: export 300-dpi raster
         crops for full_features.pdf and decode every written file."""
