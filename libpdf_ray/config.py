@@ -105,7 +105,6 @@ class PipelineConfig:
     # pipeline stalls (observed: concurrency=ncpu never finished on this
     # node; tests use concurrency=2 on 4 CPUs).
     parse_concurrency: int | tuple = 0
-    target_pages_per_block: int = 512  # cost-aware repartition target
 
 
 DEFAULT_CONFIG = PipelineConfig()

@@ -13,9 +13,8 @@ Scale design (north rule):
 - skew (1-page flyers vs 5000-page manuals) is handled by a small
   ``batch_size`` + dynamic batching into an (optional) actor pool: workers
   pull batches, so one huge doc never stalls the others, and Ray's block
-  splitting bounds memory.  ``repartition_by_cost`` additionally bin-packs
-  pathological corpora (whole blocks of manuals) using the cheap
-  ``est_pages`` column without a full shuffle;
+  splitting bounds memory; a manual too long for one worker takes the
+  page-range split (``pipelines.split``);
 - output is partitioned parquet (one file per input shard — the resume unit,
   see ``pipelines.checkpoint``).
 """
@@ -73,7 +72,7 @@ def extract_spans(
     cfg: PipelineConfig | None = None,
     decoder=None,
 ) -> "ray.data.Dataset":
-    """Raw document Dataset → (doc_id, spans, n_spans, est_pages) Dataset.
+    """Raw document Dataset → span-row Dataset (``schema.SPANS_SCHEMA``).
 
     ``decoder`` is the parse-boundary seam (``stages/decoder.py``):
     default sidecar rows; pass ``PdfByteDecoder()`` for a Dataset of
@@ -136,9 +135,19 @@ def list_fragments(paths) -> list:
     return items
 
 
-def extract_spans_fused(paths, cfg: PipelineConfig | None = None,
-                        fragments_per_task: int | None = None,
-                        row_filter=None):
+def read_fragment(item: dict):
+    """One ``list_fragments`` descriptor → its row group, pruned to the
+    parser's columns, read in the calling task."""
+    import pyarrow.parquet as _pq
+
+    pf = _pq.ParquetFile(item["path"])
+    avail = set(pf.schema_arrow.names)
+    return pf.read_row_group(
+        int(item["rg"]), columns=[c for c in PARSE_COLUMNS if c in avail]
+    )
+
+
+def extract_spans_fused(paths, cfg: PipelineConfig | None = None):
     """Read+parse FUSED into one task per parquet row group.
 
     The separate ReadParquet → MapBatches plan ships every raw block
@@ -154,89 +163,32 @@ def extract_spans_fused(paths, cfg: PipelineConfig | None = None,
     corpus' row-group size — keep writing corpora with
     ``row_group_size ≈ parse_batch_size`` (fixtures.write_corpus default).
     Column pruning is preserved (``read_row_group(columns=...)``).
-
-    ``row_filter``: optional callable ``pa.Table -> pa.BooleanArray``
-    applied to each fragment INSIDE the fused task (the stand-in for the
-    reader predicate this path gives up) — rows failing it never reach the
-    parser or the object store.
     """
     import pyarrow as pa
-    import pyarrow.parquet as _pq
 
     cfg = cfg or PipelineConfig()
     items = list_fragments(paths)
 
-    if fragments_per_task is None:
-        # coalesce fragments toward ~2 task waves per CPU.  Round 3 kept
-        # ≥3 waves because heavy fragment groups became straggler tails
-        # (44 tasks at 32 CPUs regressed 9.6 → 11.9 s on the pre-speedup
-        # kernel); the round-4 kernel cut per-task wall ~10× so dispatch
-        # overhead now dominates and fragments are near-uniform (families
-        # interleave per doc index: measured max/mean task wall = 2.0).
-        # Re-swept at 32 CPUs on the bench corpus: 1/2/3/4 frags per task
-        # = 1.97/1.66/1.61/1.69 s — 2-3 wins, cap 4 unchanged.
-        from ..ops.util import cluster_cpus
+    # coalesce fragments toward ~2 task waves per CPU.  Round 3 kept
+    # ≥3 waves because heavy fragment groups became straggler tails
+    # (44 tasks at 32 CPUs regressed 9.6 → 11.9 s on the pre-speedup
+    # kernel); the round-4 kernel cut per-task wall ~10× so dispatch
+    # overhead now dominates and fragments are near-uniform (families
+    # interleave per doc index: measured max/mean task wall = 2.0).
+    # Re-swept at 32 CPUs on the bench corpus: 1/2/3/4 frags per task
+    # = 1.97/1.66/1.61/1.69 s — 2-3 wins, cap 4 unchanged.
+    from ..ops.util import cluster_cpus
 
-        per = round(len(items) / max(1, 2 * cluster_cpus()))
-        fragments_per_task = int(max(1, min(4, per)))
+    per = round(len(items) / max(1, 2 * cluster_cpus()))
+    fragments_per_task = int(max(1, min(4, per)))
 
     def read_and_parse(batch: pa.Table) -> pa.Table:
-        outs = []
-        for item in batch.to_pylist():
-            pf = _pq.ParquetFile(item["path"])
-            avail = set(pf.schema_arrow.names)
-            t = pf.read_row_group(
-                int(item["rg"]),
-                columns=[c for c in PARSE_COLUMNS if c in avail],
-            )
-            if row_filter is not None:
-                t = t.filter(row_filter(t))
-            outs.append(parse_batch(t, cfg))
-        return pa.concat_tables(outs)
+        return pa.concat_tables(
+            [parse_batch(read_fragment(item), cfg) for item in batch.to_pylist()]
+        )
 
     return ray.data.from_items(
         items, override_num_blocks=max(1, len(items))
     ).map_batches(
         read_and_parse, batch_format="pyarrow", batch_size=fragments_per_task
     )
-
-
-def extract_spans_skew_aware(
-    paths,
-    cfg: PipelineConfig | None = None,
-    heavy_pages: int = 200,
-    heavy_batch_size: int = 1,
-):
-    """Skew-aware parse: route heavy manuals and light flyers through
-    differently-batched parse stages.
-
-    The 1-page-flyer / 5000-page-manual mix of the north rule breaks any
-    single ``batch_size``: small batches drown light docs in task overhead
-    (measured 40 s vs 2 s on this node), large batches let one task hold 64
-    manuals while the pool idles.  Splitting on the cheap ``est_pages``
-    column gives each population its right granularity, with NO shuffle —
-    both branches are predicate-filtered scans feeding the same union.
-
-    Trade-off (documented): the input is scanned once per branch.  The scan
-    is column-pruned and the predicate prunes parquet row groups where the
-    corpus is laid out by size; parse cost dominates the extra read.
-    """
-    cfg = cfg or PipelineConfig()
-    light = ray.data.read_parquet(
-        paths, columns=PARSE_COLUMNS, filter=_pages_filter("<", heavy_pages)
-    )
-    heavy = ray.data.read_parquet(
-        paths, columns=PARSE_COLUMNS, filter=_pages_filter(">=", heavy_pages)
-    )
-    light_cfg = cfg
-    heavy_cfg = PipelineConfig(
-        **{**cfg.__dict__, "parse_batch_size": heavy_batch_size}
-    )
-    return extract_spans(light, light_cfg).union(extract_spans(heavy, heavy_cfg))
-
-
-def _pages_filter(op: str, value: int):
-    import pyarrow.dataset as pads
-
-    field = pads.field("est_pages")
-    return field < value if op == "<" else field >= value

@@ -64,10 +64,16 @@ SPAN_STRUCT = pa.struct(
 
 SPANS_TYPE = pa.list_(SPAN_STRUCT)
 
+#: the span rows every extraction path emits (``extract_spans``,
+#: ``extract_spans_fused``, ``extract_spans_split``); ``error`` is empty
+#: unless the document raised
 SPANS_SCHEMA = pa.schema(
     [
         ("doc_id", pa.string()),
         ("spans", SPANS_TYPE),
+        ("n_spans", pa.int32()),
+        ("est_pages", pa.int32()),
+        ("error", pa.string()),
     ]
 )
 

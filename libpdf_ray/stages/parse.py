@@ -21,7 +21,7 @@ import pyarrow as pa
 
 from ..config import PipelineConfig
 from ..kernels.document import extract_document
-from ..schema import SPANS_TYPE
+from ..schema import SPANS_SCHEMA, SPANS_TYPE
 # the decode machinery lives behind the DocumentDecoder seam (the parse
 # boundary where a real PDF-byte decoder would bind — see stages/decoder.py);
 # decode_sidecar_rows is re-exported here for the view stages
@@ -79,7 +79,8 @@ def parse_batch(batch: pa.Table, cfg: PipelineConfig,
             "n_spans": pa.array(n_spans, pa.int32()),
             "est_pages": pa.array(est_pages, pa.int32()),
             "error": pa.array(errors, pa.string()),
-        }
+        },
+        schema=SPANS_SCHEMA,
     )
 
 

@@ -520,12 +520,12 @@ def read_pdf_files(paths, parallelism: int = -1):
     # can request more read tasks than files, and the resulting EMPTY read
     # blocks skip every fused map UDF — they then carry a schema-less
     # RefBundle into any later union/shuffle (the intermittent
-    # HashShuffleAggregator failure documented in pipelines/pdf_split.py).
+    # HashShuffleAggregator failure documented in pipelines/split.py).
     # Fewer, chunkier tasks also win outright: measured ~8.6 ms of fixed
     # dispatch per read+decode task (600-file corpus: 32 tasks 0.75 s,
     # 64 → 0.94 s, 200 → 2.2 s), so target 2× cluster CPUs (straggler
     # slack; with many files per task, per-file skew averages out, and
-    # page-skewed heavy docs take the pdf_split range path anyway).
+    # page-skewed heavy docs take the pipelines/split.py range path anyway).
     # Local dirs/lists are counted directly; non-local paths keep the
     # caller's parallelism (object-store listings happen inside Ray).
     if parallelism == -1:

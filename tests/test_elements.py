@@ -30,22 +30,19 @@ def test_debug_draw_commands(ray_session, small_corpus_dir):
 
 
 def test_skew_aware_parse_matches_plain(ray_session, small_corpus_dir):
-    """Heavy/light routed parse must produce the same spans as the plain
-    pipeline (same docs, same oracle)."""
-    from libpdf_ray.pipelines.extract import (
-        extract_spans,
-        extract_spans_skew_aware,
-        read_corpus,
-    )
+    """Heavy/light routed parse (the page-range split) must produce the
+    same rows as the plain pipeline (same docs, same oracle)."""
+    from libpdf_ray.pipelines.extract import extract_spans, read_corpus
+    from libpdf_ray.pipelines.split import extract_spans_split
 
     plain = {
-        r["doc_id"]: r["spans"]
+        r["doc_id"]: dict(r)
         for r in extract_spans(read_corpus(small_corpus_dir), SMART_CROP_CONFIG).take_all()
     }
     routed = {
-        r["doc_id"]: r["spans"]
-        for r in extract_spans_skew_aware(
-            small_corpus_dir, SMART_CROP_CONFIG, heavy_pages=4
+        r["doc_id"]: dict(r)
+        for r in extract_spans_split(
+            small_corpus_dir, SMART_CROP_CONFIG, split_pages=2, heavy_pages=4
         ).take_all()
     }
     assert routed == plain

@@ -175,9 +175,9 @@ def test_pdf_split_path_identical(ray_session, tmp_path):
     """Skew-aware page-range split over real PDF bytes: the 5000-page-
     manual shape at test scale — a heavy written manual splits into page
     ranges, light docs take the ordinary decode, and the merged output is
-    span-identical to the monolithic byte path."""
+    row-identical to the monolithic byte path."""
     from libpdf_ray.pipelines.extract import extract_spans
-    from libpdf_ray.pipelines.pdf_split import extract_spans_pdf_split
+    from libpdf_ray.pipelines.split import extract_spans_split
     from libpdf_ray.stages.pdf_decoder import PdfByteDecoder, read_pdf_files
 
     docs = [build_document(500 + i, DEFAULT_FAMILIES[i], skew_pages=4)
@@ -186,27 +186,23 @@ def test_pdf_split_path_identical(ray_session, tmp_path):
     for d in docs:
         (tmp_path / f"{d['doc_id']}.pdf").write_bytes(write_pdf(d))
 
-    def spans_by_doc(df):
-        return {
-            r["doc_id"]: [(s["kind"], s["text"], s["media_ref"])
-                          for s in r["spans"]]
-            for _, r in df.iterrows()
-        }
-
-    split = spans_by_doc(
-        extract_spans_pdf_split(
+    split = {
+        r["doc_id"]: dict(r)
+        for r in extract_spans_split(
             str(tmp_path), SMART_CROP_CONFIG,
             heavy_pages=40, split_pages=16, num_partitions=2,
-        ).to_pandas()
-    )
-    mono = spans_by_doc(
-        extract_spans(
+        ).take_all()
+    }
+    mono = {
+        r["doc_id"]: dict(r)
+        for r in extract_spans(
             read_pdf_files(str(tmp_path)), SMART_CROP_CONFIG,
             decoder=PdfByteDecoder(),
-        ).to_pandas()
-    )
+        ).take_all()
+    }
     assert split == mono
     assert len(split) == 5
+    assert split["doc-000599"]["est_pages"] == 90
 
 
 def test_ray_pipeline_over_written_pdfs(ray_session, tmp_path):
@@ -230,38 +226,3 @@ def test_ray_pipeline_over_written_pdfs(ray_session, tmp_path):
     assert len(out) == n
     assert (out["error"] == "").all()
     assert (out["n_spans"] > 0).all()
-
-
-def test_pdf_split_no_heavy_docs(ray_session, tmp_path):
-    """All-light corpus: the heavy branch short-circuits (n_ranges == 0)
-    and the light-only result is still span-identical to the monolithic
-    path — the empty-block seam never forms."""
-    from libpdf_ray.pipelines.extract import extract_spans
-    from libpdf_ray.pipelines.pdf_split import extract_spans_pdf_split
-    from libpdf_ray.stages.pdf_decoder import PdfByteDecoder, read_pdf_files
-
-    docs = [build_document(700 + i, DEFAULT_FAMILIES[i], skew_pages=4)
-            for i in range(3)]
-    for d in docs:
-        (tmp_path / f"{d['doc_id']}.pdf").write_bytes(write_pdf(d))
-
-    def spans_by_doc(df):
-        return {
-            r["doc_id"]: [(s["kind"], s["text"], s["media_ref"])
-                          for s in r["spans"]]
-            for _, r in df.iterrows()
-        }
-
-    split = spans_by_doc(
-        extract_spans_pdf_split(
-            str(tmp_path), SMART_CROP_CONFIG,
-            heavy_pages=40, split_pages=16, num_partitions=2,
-        ).to_pandas()
-    )
-    mono = spans_by_doc(
-        extract_spans(
-            read_pdf_files(str(tmp_path)), SMART_CROP_CONFIG,
-            decoder=PdfByteDecoder(),
-        ).to_pandas()
-    )
-    assert split == mono and len(split) == 3
