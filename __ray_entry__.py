@@ -116,10 +116,10 @@ def _q_pdf_spans(sf_dir: str):
 def _q_pdf_file_meta(sf_dir: str):
     """File-metadata view over real PDF bytes (Info dict, D: dates,
     page counts) — the S4 operator on the reference corpus."""
-    from libpdf_ray.stages.meta import file_meta_table
     from libpdf_ray.stages.pdf_decoder import read_pdf_files
+    from libpdf_ray.stages.views import view_table
 
-    return file_meta_table(read_pdf_files(REFERENCE_PDF_DIR))
+    return view_table(read_pdf_files(REFERENCE_PDF_DIR), "file_meta")
 
 
 def _q_media_features(sf_dir: str):
@@ -407,33 +407,32 @@ def _q_knn_ivf_partitioned(sf_dir: str):
 def _q_elements(sf_dir: str):
     from libpdf_ray.config import SMART_CROP_CONFIG
     from libpdf_ray.pipelines.extract import read_corpus
-    from libpdf_ray.stages.elements import elements_table
+    from libpdf_ray.stages.views import view_table
 
     # identity projection (uid path / type / page / payload / link count)
     # matches the generator's expected_elements oracle column-for-column;
     # the geometry columns (x0..y1) stay on the full view but are not part
     # of the hash-checked contract (the generator does not model crop boxes)
-    return elements_table(read_corpus(_query_corpus()), SMART_CROP_CONFIG).select_columns(
+    return view_table(read_corpus(_query_corpus()), "elements", SMART_CROP_CONFIG).select_columns(
         ["doc_id", "uid", "etype", "page", "text", "media_ref", "n_links"]
     )
 
 
 def _q_file_meta(sf_dir: str):
-    import ray.data as rd
+    from libpdf_ray.stages.views import view_table
 
-    from libpdf_ray.stages.meta import file_meta_table
-
-    return file_meta_table(
-        _read_sized(_query_corpus(), columns=["doc_id", "meta", "pages"])
+    return view_table(
+        _read_sized(_query_corpus(), columns=["doc_id", "meta", "pages"]),
+        "file_meta",
     )
 
 
 def _q_pages(sf_dir: str):
-    import ray.data as rd
+    from libpdf_ray.stages.views import view_table
 
-    from libpdf_ray.stages.meta import pages_table
-
-    return pages_table(_read_sized(_query_corpus(), columns=["doc_id", "pages"]))
+    return view_table(
+        _read_sized(_query_corpus(), columns=["doc_id", "pages"]), "pages"
+    )
 
 
 def _q_text_spans(sf_dir: str):
@@ -467,9 +466,9 @@ def _q_text_spans(sf_dir: str):
 def _q_links(sf_dir: str):
     from libpdf_ray.config import SMART_CROP_CONFIG
     from libpdf_ray.pipelines.extract import read_corpus
-    from libpdf_ray.stages.links_view import links_table
+    from libpdf_ray.stages.views import view_table
 
-    return links_table(read_corpus(_query_corpus()), SMART_CROP_CONFIG)
+    return view_table(read_corpus(_query_corpus()), "links", SMART_CROP_CONFIG)
 
 
 def _q_cells(sf_dir: str):
@@ -479,9 +478,9 @@ def _q_cells(sf_dir: str):
 
     from libpdf_ray.config import SMART_CROP_CONFIG
     from libpdf_ray.pipelines.extract import read_corpus
-    from libpdf_ray.stages.cells import cells_table
+    from libpdf_ray.stages.views import view_table
 
-    full = cells_table(read_corpus(_query_corpus()), SMART_CROP_CONFIG)
+    full = view_table(read_corpus(_query_corpus()), "cells", SMART_CROP_CONFIG)
     return full.map_batches(
         lambda t: t.select(["doc_id", "page", "table_idx", "row", "col", "text"]),
         batch_format="pyarrow",
@@ -491,17 +490,17 @@ def _q_cells(sf_dir: str):
 def _q_text_styles(sf_dir: str):
     from libpdf_ray.config import SMART_CROP_CONFIG
     from libpdf_ray.pipelines.extract import read_corpus
-    from libpdf_ray.stages.styles import text_styles_table
+    from libpdf_ray.stages.views import view_table
 
-    return text_styles_table(read_corpus(_query_corpus()), SMART_CROP_CONFIG)
+    return view_table(read_corpus(_query_corpus()), "text_styles", SMART_CROP_CONFIG)
 
 
 def _q_rect_styles(sf_dir: str):
     from libpdf_ray.config import SMART_CROP_CONFIG
     from libpdf_ray.pipelines.extract import read_corpus
-    from libpdf_ray.stages.styles import rect_styles_table
+    from libpdf_ray.stages.views import view_table
 
-    return rect_styles_table(read_corpus(_query_corpus()), SMART_CROP_CONFIG)
+    return view_table(read_corpus(_query_corpus()), "rect_styles", SMART_CROP_CONFIG)
 
 
 def _q_kmeans_clusters(sf_dir: str):

@@ -21,7 +21,7 @@ from libpdf_ray.config import SMART_CROP_CONFIG
 from libpdf_ray.fixtures import write_corpus
 from libpdf_ray.ops.util import tune_data_context
 from libpdf_ray.pipelines.extract import extract_spans, read_corpus, spans_table
-from libpdf_ray.stages.elements import elements_table
+from libpdf_ray.stages.views import view_table
 
 tune_data_context()
 
@@ -40,7 +40,7 @@ print("docs:", spans.count())
 flat = spans_table(extract_spans(read_corpus(corpus), SMART_CROP_CONFIG))
 print(flat.groupby("kind", num_partitions=4).count().to_pandas())
 
-els = elements_table(read_corpus(corpus), SMART_CROP_CONFIG)
+els = view_table(read_corpus(corpus), "elements", SMART_CROP_CONFIG)
 print(els.to_pandas()[["uid", "etype", "page"]].head(8))
 
 ray.shutdown()

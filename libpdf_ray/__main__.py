@@ -44,8 +44,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "both: the pair side by side")
     p.add_argument("--num-cpus", type=int, default=0, help="0 = let Ray decide")
     p.add_argument("--batch-size", type=int, default=64)
-    p.add_argument("--concurrency", type=int, default=0,
-                   help="actor-pool size for the parser (0 = stateless tasks)")
     p.add_argument("--files-per-partition", type=int, default=1,
                    help="input shards per resume partition")
     p.add_argument("--views", default="", metavar="V1,V2",
@@ -116,13 +114,12 @@ def main(argv=None) -> int:
         no_figures=args.no_figures,
         no_rects=args.no_rects,
         parse_batch_size=args.batch_size,
-        parse_concurrency=args.concurrency,
     )
+    from libpdf_ray.stages.views import VIEWS, view_table
+
     # validate --views BEFORE any work: a typo must not cost a full run
     view_names = [v.strip() for v in args.views.split(",") if v.strip()]
-    known_views = {"elements", "cells", "links", "file_meta", "pages",
-                   "text_styles", "rect_styles"}
-    unknown = [v for v in view_names if v not in known_views]
+    unknown = [v for v in view_names if v not in VIEWS]
     if unknown:
         print(f"unknown view(s): {', '.join(unknown)}", file=sys.stderr)
         return 2
@@ -144,9 +141,10 @@ def main(argv=None) -> int:
             from libpdf_ray.stages.pdf_decoder import read_pdf_files
 
             return read_pdf_files(args.input_dir)
-        from libpdf_ray.pipelines.extract import read_corpus
+        from libpdf_ray.pipelines.extract import PARSE_COLUMNS, read_corpus
 
-        return read_corpus(args.input_dir)
+        # + meta: the file_meta view reads it; the parser never does
+        return read_corpus(args.input_dir, columns=PARSE_COLUMNS + ["meta"])
 
     # side-mode run summaries are reduced IN-STREAM (one partial row per
     # batch + tree sum) — never a per-document driver DataFrame
@@ -207,29 +205,10 @@ def main(argv=None) -> int:
         # the reference's YAML/JSON element dump, relationally: one parquet
         # table per requested view (the full Root→elements model is
         # losslessly encoded across them)
-        import os
-
-        from libpdf_ray.stages.cells import cells_table
-        from libpdf_ray.stages.elements import elements_table
-        from libpdf_ray.stages.links_view import links_table
-        from libpdf_ray.stages.meta import file_meta_table, pages_table
-        from libpdf_ray.stages.styles import rect_styles_table, text_styles_table
-
-        view_fns = {
-            "elements": lambda ds: elements_table(ds, cfg),
-            "cells": lambda ds: cells_table(ds, cfg),
-            "links": lambda ds: links_table(ds, cfg),
-            "file_meta": file_meta_table,
-            "pages": pages_table,
-            "text_styles": lambda ds: text_styles_table(ds, cfg),
-            "rect_styles": lambda ds: rect_styles_table(ds, cfg),
-        }
-        exported = []
         for name in view_names:
             out = os.path.join(args.output, "views", name)
-            view_fns[name](read_input()).write_parquet(out)
-            exported.append(name)
-        summary["views"] = exported
+            view_table(read_input(), name, cfg).write_parquet(out)
+        summary["views"] = view_names
     if args.visual_debug:
         from libpdf_ray.stages.elements import render_debug_svg
 

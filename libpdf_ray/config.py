@@ -99,12 +99,6 @@ class PipelineConfig:
     # at every parallelism level tested (4/8/16/32 CPUs) — small enough to
     # pack the skew tail, big enough to amortize task overhead.
     parse_batch_size: int = 24
-    # 0 → stateless tasks (the default; maximally elastic).  When using an
-    # actor pool, size it STRICTLY below the CPU budget (e.g. num_cpus-1):
-    # a pool that reserves every CPU starves the read stage and the
-    # pipeline stalls (observed: concurrency=ncpu never finished on this
-    # node; tests use concurrency=2 on 4 CPUs).
-    parse_concurrency: int | tuple = 0
 
 
 DEFAULT_CONFIG = PipelineConfig()

@@ -1230,7 +1230,7 @@ def _fam_tablelinks(b: FlowBuilder, rng):
     """Links inside table cells and figure captions (tables.py:178-186,
     extract.py:638-641): cell links resolve to chapter uids, figure links
     stay unresolved.  Span sequence is unchanged by cell/figure links
-    (only paragraph links emit spans); the links_table view carries them."""
+    (only paragraph links emit spans); the `links` view carries them."""
     t1 = _title(rng)
     b.add_heading("1", f"1 {t1}")
     b.add_par()

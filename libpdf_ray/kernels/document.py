@@ -126,6 +126,28 @@ def numbered_outline(doc: dict, cfg: PipelineConfig) -> list:
     return tree
 
 
+def textbox_lines(tb: dict, cfg: PipelineConfig) -> list:
+    """One raw textbox → its assembled line dicts: y-center line grouping
+    + word-margin word assembly + style lifting (utils.py:467-631).
+
+    Array-backed textboxes (from the parse stage's flat Arrow decode) take
+    the vectorized twin; dict-backed ones (PDF-byte decode, unit tests,
+    direct rows) the reference-shaped fold — identical output."""
+    is_chars = tb.get("chartab") is not None
+    if is_chars or tb.get("wordtab") is not None:
+        return assemble_lines_from_arrays(
+            tab_slice(tb["chartab" if is_chars else "wordtab"]), is_chars,
+            cfg.line_y_tolerance, cfg.word_margin,
+        )
+    return assemble_textbox_lines(
+        tb, cfg.line_y_tolerance, cfg.word_margin,
+        # page-level analysis of an ungrouped soup applies the char_margin
+        # column split; grouped boxes never do (their extent IS the line
+        # extent)
+        char_margin=cfg.char_margin if tb.get("ungrouped") else 0.0,
+    )
+
+
 def prepare_pages(
     doc: dict,
     pages: dict,
@@ -168,26 +190,11 @@ def prepare_pages(
                 and t["y1"] <= float(page["height"]) - crop_top
             ):
                 continue
-        # the raw-layout step: y-center line grouping + word-margin word
-        # assembly + style lifting (utils.py:467-631).  Array-backed
-        # textboxes (from the parse stage's flat Arrow decode) take the
-        # vectorized twin; dict-backed ones (unit tests, direct rows) the
-        # reference-shaped fold — identical output.  Word-array boxes
-        # (the overwhelmingly common form) defer to ONE batched numpy
-        # pass over the whole document below.
-        if t.get("chartab") is not None:
-            t["lines"] = assemble_lines_from_arrays(
-                tab_slice(t["chartab"]), True,
-                cfg.line_y_tolerance, cfg.word_margin,
-            )
-        elif t.get("wordtab") is None:
-            t["lines"] = assemble_textbox_lines(
-                t, cfg.line_y_tolerance, cfg.word_margin,
-                # page-level analysis of an ungrouped soup applies the
-                # char_margin column split; grouped boxes never do (their
-                # extent IS the line extent)
-                char_margin=cfg.char_margin if t.get("ungrouped") else 0.0,
-            )
+        # the raw-layout step (see textbox_lines).  Word-array boxes (the
+        # overwhelmingly common form) defer to ONE batched numpy pass over
+        # the whole document below — same lines as textbox_lines.
+        if t.get("chartab") is not None or t.get("wordtab") is None:
+            t["lines"] = textbox_lines(t, cfg)
         kept_boxes.append(t)
 
     word_boxes = [t for t in kept_boxes if "lines" not in t]
@@ -694,19 +701,18 @@ def _map_elements_outline(merged: list, outline_tree: list, headline_tolerance: 
             id_counters[el["etype"]] += 1
             current_content.append(el)
 
-    flat_chapters = [el for el in inline if el["etype"] == "chapter"]
+    # nest chapters following the outline tree (mapping_chapters); an
+    # outline node takes the FIRST chapter with its (title, number)
+    chapter_by_key: dict = {}
+    for el in inline:
+        if el["etype"] == "chapter":
+            chapter_by_key.setdefault((el["title"], el["number"]), el)
 
-    # nest chapters following the outline tree (mapping_chapters)
     def nest(outline_content: list, target: list):
         for node in outline_content:
-            matches = [
-                ch
-                for ch in flat_chapters
-                if ch["title"] == node["title"] and ch["number"] == node["number"]
-            ]
-            if not matches:
+            chapter = chapter_by_key.get((node["title"], node["number"]))
+            if chapter is None:
                 continue
-            chapter = matches[0]
             target.append(chapter)
             if node["content"]:
                 nest(node["content"], chapter["content"])

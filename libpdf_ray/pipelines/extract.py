@@ -4,17 +4,17 @@ Replaces the reference lifecycle ``python -m libpdf <pdf>`` → object graph →
 YAML (``/root/reference/libpdf/core.py:23-168``) with::
 
     read_parquet(sidecar shards, pruned columns)
-      → map_batches(DocumentParser, batch_format="pyarrow", batch_size=B[, concurrency=N])
+      → map_batches(parse_batch, batch_format="pyarrow", batch_size=B)
       → write_parquet(out_dir)  /  explode_spans for analytics
 
 Scale design (north rule):
 - the document is the unit of parallelism; one row = one doc, so no
   cross-document shuffle exists in the hot path (SURVEY §4.3);
 - skew (1-page flyers vs 5000-page manuals) is handled by a small
-  ``batch_size`` + dynamic batching into an (optional) actor pool: workers
-  pull batches, so one huge doc never stalls the others, and Ray's block
-  splitting bounds memory; a manual too long for one worker takes the
-  page-range split (``pipelines.split``);
+  ``batch_size`` + dynamic batching into stateless tasks, so one huge doc
+  never stalls the others, and Ray's block splitting bounds memory; a
+  manual too long for one worker takes the page-range split
+  (``pipelines.split``);
 - output is partitioned parquet (one file per input shard — the resume unit,
   see ``pipelines.checkpoint``).
 """
@@ -24,7 +24,7 @@ from __future__ import annotations
 import ray.data
 
 from ..config import PipelineConfig
-from ..stages.parse import DocumentParser, explode_spans, parse_batch
+from ..stages.parse import explode_spans, parse_batch
 
 #: columns the parser actually consumes — read_parquet prunes the rest
 #: (notably the test-only expected_spans column never leaves storage)
@@ -78,19 +78,9 @@ def extract_spans(
     default sidecar rows; pass ``PdfByteDecoder()`` for a Dataset of
     ``{doc_id, pdf_bytes}`` rows (``read_pdf_files``)."""
     cfg = cfg or PipelineConfig()
-    kwargs = dict(batch_format="pyarrow", batch_size=cfg.parse_batch_size)
-    if cfg.parse_concurrency:
-        # stateful actor-pool form: warm workers, pinned CPUs
-        return ds.map_batches(
-            DocumentParser,
-            fn_constructor_kwargs={"cfg": cfg, "decoder": decoder},
-            concurrency=cfg.parse_concurrency,
-            num_cpus=1,
-            **kwargs,
-        )
-    # stateless-task form: maximally elastic, the default on shared clusters
     return ds.map_batches(
-        parse_batch, fn_kwargs={"cfg": cfg, "decoder": decoder}, **kwargs
+        parse_batch, fn_kwargs={"cfg": cfg, "decoder": decoder},
+        batch_format="pyarrow", batch_size=cfg.parse_batch_size,
     )
 
 

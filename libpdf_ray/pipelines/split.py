@@ -64,7 +64,8 @@ import pyarrow.compute as pc
 from ..config import PipelineConfig
 from ..kernels.document import finish_document, prepare_pages, selected_pages
 from ..schema import SPANS_SCHEMA
-from ..stages.parse import decode_sidecar_rows, parse_batch
+from ..stages.decoder import decode_sidecar_rows
+from ..stages.parse import parse_batch
 from ..stages.pdf_decoder import PdfByteDecoder, decode_pdf_document, pdf_page_count
 from .extract import list_fragments, read_fragment
 

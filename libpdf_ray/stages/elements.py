@@ -1,8 +1,5 @@
-"""Element-geometry view + visual-debug rendering.
+"""Visual-debug rendering over the element geometry.
 
-- :func:`elements_table` — one row per extracted element with uid, bbox and
-  payload: the relational form of the reference's ``ApiObjects`` flattened
-  view (libpdf/apiobjects.py:18-79).
 - :func:`debug_draw_table` — per-element draw commands with the
   reference's per-type colors (libpdf/parameters.py:190-214) for feeding
   any 2D canvas.
@@ -22,6 +19,7 @@ import pyarrow as pa
 
 from ..config import PipelineConfig
 from ..kernels.document import extract_document_full
+from .views import view_table
 
 #: per-element-type debug colors (VIS_DBG_MAP_ELEMENTS_COLOR analog)
 DEBUG_COLORS = {
@@ -47,59 +45,11 @@ DEBUG_RGBA = {
 RENDER_ELEMENTS = ("chapter", "paragraph", "table", "figure", "rect")
 
 
-def elements_batch(batch: pa.Table, cfg: PipelineConfig) -> pa.Table:
-    from .parse import decode_sidecar_rows
-
-    rows = decode_sidecar_rows(batch)
-    out = {
-        "doc_id": [], "uid": [], "etype": [], "page": [],
-        "x0": [], "y0": [], "x1": [], "y1": [],
-        "text": [], "media_ref": [], "n_links": [],
-    }
-    for row in rows:
-        _, elements = extract_document_full(row, cfg)
-        for el in elements:
-            out["doc_id"].append(row["doc_id"])
-            out["uid"].append(el["uid"])
-            out["etype"].append(el["etype"])
-            out["page"].append(el["page"])
-            out["x0"].append(el["x0"])
-            out["y0"].append(el["y0"])
-            out["x1"].append(el["x1"])
-            out["y1"].append(el["y1"])
-            out["text"].append(el.get("text", ""))
-            out["media_ref"].append(el.get("media_ref", ""))
-            out["n_links"].append(len(el.get("links", [])))
-    return pa.table(
-        {
-            "doc_id": pa.array(out["doc_id"], pa.string()),
-            "uid": pa.array(out["uid"], pa.string()),
-            "etype": pa.array(out["etype"], pa.string()),
-            "page": pa.array(out["page"], pa.int32()),
-            "x0": pa.array(out["x0"], pa.float64()),
-            "y0": pa.array(out["y0"], pa.float64()),
-            "x1": pa.array(out["x1"], pa.float64()),
-            "y1": pa.array(out["y1"], pa.float64()),
-            "text": pa.array(out["text"], pa.string()),
-            "media_ref": pa.array(out["media_ref"], pa.string()),
-            "n_links": pa.array(out["n_links"], pa.int32()),
-        }
-    )
-
-
-def elements_table(ds, cfg: PipelineConfig | None = None):
-    cfg = cfg or PipelineConfig()
-    return ds.map_batches(
-        elements_batch, fn_kwargs={"cfg": cfg}, batch_format="pyarrow",
-        batch_size=64,
-    )
-
-
 def debug_draw_table(ds, cfg: PipelineConfig | None = None):
     """Draw-command rows: (doc_id, page, color, x0, y0, x1, y1, label)."""
     import pandas as pd
 
-    els = elements_table(ds, cfg)
+    els = view_table(ds, "elements", cfg)
 
     def to_draw(df: pd.DataFrame) -> pd.DataFrame:
         df = df[df["etype"].isin(DEBUG_COLORS)].copy()
@@ -189,7 +139,7 @@ class _SvgRenderer:
 
         import pandas as pd
 
-        from .parse import decode_sidecar_rows
+        from .decoder import decode_sidecar_rows
 
         rows = decode_sidecar_rows(batch)
         out = {"doc_id": [], "page": [], "path": [], "n_boxes": [],

@@ -1,18 +1,12 @@
-"""The DocumentParser stage: sidecar rows → span rows, as a Ray Data batch op.
+"""The parse stage: raw document rows → span rows, as a Ray Data batch op.
 
 This is the engine's hot stage — the analog of the reference's whole
 single-threaded ``extract()`` loop (``/root/reference/libpdf/extract.py:60-222``),
-re-expressed as ``Dataset.map_batches`` over Arrow batches.  One input row is
-one document, so every reference semantic stays intra-row and the stage is
-embarrassingly parallel across documents (SURVEY §4.3).
-
-``DocumentParser`` is a callable CLASS: passed to ``map_batches(...,
-concurrency=N)`` it becomes an actor pool whose ``__init__`` holds the
-per-worker warm state (frozen config, compiled regexes — the engine analog of
-the reference's parser/interpreter reuse at libpdf/textbox.py:960-961).
-Compiled regex state lives at kernel-module import time, so stateless-task
-mode is equally correct; the actor form exists for the north-star "warm
-parser" deployment shape and for pinning ``num_cpus``.
+re-expressed as ``Dataset.map_batches(parse_batch)`` over Arrow batches.  One
+input row is one document, so every reference semantic stays intra-row and
+the stage is embarrassingly parallel across documents (SURVEY §4.3).
+Compiled regex state lives at kernel-module import time, so stateless tasks
+need no per-worker warm-up.
 """
 
 from __future__ import annotations
@@ -23,16 +17,13 @@ from ..config import PipelineConfig
 from ..kernels.document import extract_document
 from ..schema import SPANS_SCHEMA, SPANS_TYPE
 # the decode machinery lives behind the DocumentDecoder seam (the parse
-# boundary where a real PDF-byte decoder would bind — see stages/decoder.py);
-# decode_sidecar_rows is re-exported here for the view stages
-from .decoder import DocumentDecoder, SidecarDecoder, decode_sidecar_rows
+# boundary where a real PDF-byte decoder would bind — see stages/decoder.py)
+from .decoder import DocumentDecoder, SidecarDecoder
 
 __all__ = [
     "DocumentDecoder",
     "SidecarDecoder",
-    "decode_sidecar_rows",
     "parse_batch",
-    "DocumentParser",
     "explode_spans",
 ]
 
@@ -85,23 +76,8 @@ def parse_batch(batch: pa.Table, cfg: PipelineConfig,
 
 
 #: module-level default so parse_batch calls don't rebuild a decoder per
-#: batch (the decoder is stateless; actor-pool users hold their own)
+#: batch (the decoder is stateless)
 _DEFAULT_DECODER = SidecarDecoder()
-
-
-class DocumentParser:
-    """Actor-pool form of :func:`parse_batch` (warm per-worker state)."""
-
-    def __init__(self, cfg: PipelineConfig | None = None,
-                 decoder: DocumentDecoder | None = None):
-        # once per actor: freeze config + decoder; kernel regexes are
-        # compiled at import time and shared by every batch this worker
-        # processes
-        self.cfg = cfg or PipelineConfig()
-        self.decoder = decoder or SidecarDecoder()
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        return parse_batch(batch, self.cfg, decoder=self.decoder)
 
 
 def explode_spans(batch: pa.Table) -> pa.Table:

@@ -15,9 +15,9 @@ def test_two_column_interleaves_by_y():
 
 def test_cells_table(ray_session, small_corpus_dir):
     from libpdf_ray.pipelines.extract import read_corpus
-    from libpdf_ray.stages.cells import cells_table
+    from libpdf_ray.stages.views import view_table
 
-    df = cells_table(read_corpus(small_corpus_dir), SMART_CROP_CONFIG).to_pandas()
+    df = view_table(read_corpus(small_corpus_dir), "cells", SMART_CROP_CONFIG).to_pandas()
     assert len(df) > 0
     # cells are 1-based row/col addressed; a position swallowed by a merge
     # produces no Cell (pdfplumber None, tables.py:168-171), while an
@@ -68,12 +68,12 @@ def test_cell_and_figure_links(ray_session, tmp_path):
     from libpdf_ray.fixtures import build_document
     from libpdf_ray.pipelines.extract import read_corpus
     from libpdf_ray.schema import RAW_DOC_SCHEMA
-    from libpdf_ray.stages.links_view import links_table
+    from libpdf_ray.stages.views import view_table
 
     rows = [build_document(i, "tablelinks") for i in range(4)]
     path = str(tmp_path / "tl.parquet")
     pq.write_table(pa.Table.from_pylist(rows, schema=RAW_DOC_SCHEMA), path)
-    df = links_table(read_corpus(path), SMART_CROP_CONFIG).to_pandas()
+    df = view_table(read_corpus(path), "links", SMART_CROP_CONFIG).to_pandas()
     cells = df[df["source_kind"] == "cell"]
     figs = df[df["source_kind"] == "figure"]
     assert len(cells) == 4 and len(figs) == 4

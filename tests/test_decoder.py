@@ -14,7 +14,7 @@ from libpdf_ray.fixtures import DEFAULT_FAMILIES, build_document
 from libpdf_ray.kernels.document import extract_document
 from libpdf_ray.stages.decoder import (DocumentDecoder, SidecarDecoder,
                                        decode_sidecar_rows)
-from libpdf_ray.stages.parse import DocumentParser, parse_batch
+from libpdf_ray.stages.parse import parse_batch
 
 
 def _sidecar_batch(n=6):
@@ -73,9 +73,10 @@ def test_parse_batch_routes_through_injected_decoder():
     assert out.column("spans").to_pylist() == base.column("spans").to_pylist()
 
 
-def test_document_parser_holds_decoder_as_actor_state():
-    """The actor-pool form freezes the decoder in __init__ (once per
-    worker), not per batch."""
+def test_parse_batch_holds_decoder_across_calls():
+    """One decoder instance serves every parse_batch call it is passed to
+    (extract_spans ships it once per task via fn_kwargs), not rebuilt per
+    batch."""
     batch = _sidecar_batch(2)
 
     class Counting(SidecarDecoder):
@@ -87,11 +88,18 @@ def test_document_parser_holds_decoder_as_actor_state():
             return super().decode(b)
 
     dec = Counting()
-    parser = DocumentParser(SMART_CROP_CONFIG, decoder=dec)
-    parser(batch)
-    parser(batch)
-    assert parser.decoder is dec and dec.calls == 2
+    first = parse_batch(batch, SMART_CROP_CONFIG, decoder=dec)
+    second = parse_batch(batch, SMART_CROP_CONFIG, decoder=dec)
+    assert dec.calls == 2
+    assert first.equals(second)
 
 
 def test_default_decoder_is_sidecar():
-    assert isinstance(DocumentParser().decoder, SidecarDecoder)
+    """parse_batch without a decoder decodes sidecar rows."""
+    from libpdf_ray.stages import parse
+
+    assert isinstance(parse._DEFAULT_DECODER, SidecarDecoder)
+    batch = _sidecar_batch(2)
+    assert parse_batch(batch, SMART_CROP_CONFIG).equals(
+        parse_batch(batch, SMART_CROP_CONFIG, decoder=SidecarDecoder())
+    )

@@ -5,9 +5,9 @@ from libpdf_ray.config import SMART_CROP_CONFIG
 
 def test_elements_table_uids_and_geometry(ray_session, small_corpus_dir):
     from libpdf_ray.pipelines.extract import read_corpus
-    from libpdf_ray.stages.elements import elements_table
+    from libpdf_ray.stages.views import view_table
 
-    df = elements_table(read_corpus(small_corpus_dir), SMART_CROP_CONFIG).to_pandas()
+    df = view_table(read_corpus(small_corpus_dir), "elements", SMART_CROP_CONFIG).to_pandas()
     assert len(df) > 0
     # uid scheme: nested paragraph under chapters
     nested = df[df["uid"].str.contains("/")]

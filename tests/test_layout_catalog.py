@@ -376,3 +376,32 @@ class TestPseudoAnnoCleanup:
                  _char("b", 12.0, 12.0)]
         lines = assemble_textbox_lines({"chars": chars})
         assert [ln["text"] for ln in lines] == ["a b"]
+
+
+def test_outline_nesting_duplicate_key_takes_first_chapter():
+    """Two outline nodes with the same (title, number) both nest the FIRST
+    chapter carrying that key; a later duplicate chapter is never placed."""
+    from libpdf_ray.kernels.document import _map_elements_outline
+
+    def chapter(title, number, y1):
+        return {"etype": "chapter", "title": title, "number": number,
+                "page": 1, "y0": y1 - 10, "y1": y1}
+
+    def node(title, number, content=()):
+        return {"title": title, "number": number, "content": list(content),
+                "position": {"page": 1, "y1": 800.0}}
+
+    intro, sub, other = (chapter("Intro", "1", 790), chapter("Sub", "1.1", 700),
+                         chapter("Other", "1.2", 600))
+    intro_dup = chapter("Intro", "1", 500)
+    para = {"etype": "paragraph", "page": 1, "y0": 440, "y1": 450}
+    outline = [node("Intro", "1", [node("Sub", "1.1")]),
+               node("Intro", "1", [node("Other", "1.2")])]
+
+    out = _map_elements_outline([intro, sub, other, intro_dup, para], outline, 0.0)
+    assert len(out) == 2 and out[0] is intro and out[1] is intro
+    assert len(intro["content"]) == 2
+    assert intro["content"][0] is sub and intro["content"][1] is other
+    # the duplicate chapter kept its own filled content but is not nested
+    assert intro_dup["content"] == [para]
+    assert all(el is not intro_dup for el in out)

@@ -66,14 +66,14 @@ class TestMetaStages:
     def test_file_meta_and_pages_tables(self, ray_session, small_corpus_dir):
         import ray.data as rd
 
-        from libpdf_ray.stages.meta import file_meta_table, pages_table
+        from libpdf_ray.stages.views import view_table
 
         ds = rd.read_parquet(small_corpus_dir)
-        meta = file_meta_table(ds).to_pandas()
+        meta = view_table(ds, "file_meta").to_pandas()
         assert len(meta) == 36
         assert (meta["n_pages"] >= 1).all()
         assert meta["producer"].eq("libpdf-ray-synth").all()
-        pages = pages_table(ds).to_pandas()
+        pages = view_table(ds, "pages").to_pandas()
         assert pages["width"].eq(612.0).all()
         assert (
             pages.groupby("doc_id")["number"].count().sum() == meta["n_pages"].sum()
@@ -178,9 +178,21 @@ def test_cli_views_export(ray_session, small_corpus_dir, tmp_path):
 
     out = str(tmp_path / "cli_out")
     rc = main([small_corpus_dir, "-o", out, "--smart-page-crop",
-               "--views", "cells,links,pages"])
+               "--views", "cells,links,pages,file_meta"])
     assert rc == 0
-    for view in ("cells", "links", "pages"):
+    for view in ("cells", "links", "pages", "file_meta"):
         files = glob.glob(f"{out}/views/{view}/*.parquet")
         assert files, view
         assert sum(pq.ParquetFile(f).metadata.num_rows for f in files) > 0
+    # file_meta carries the source meta, not all-null columns
+    got = pq.read_table(f"{out}/views/file_meta").to_pylist()
+    source = {
+        r["doc_id"]: r["meta"]
+        for f in glob.glob(f"{small_corpus_dir}/*.parquet")
+        for r in pq.read_table(f, columns=["doc_id", "meta"]).to_pylist()
+    }
+    assert len(got) == len(source)
+    for row in got:
+        meta = source[row["doc_id"]]
+        assert (row["author"], row["title"]) == (meta["author"], meta["title"])
+        assert row["author"] is not None

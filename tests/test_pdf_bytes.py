@@ -321,13 +321,13 @@ class TestWordColors:
     def styles(self):
         import pyarrow as pa
 
-        from libpdf_ray.stages.styles import styles_batch
+        from libpdf_ray.stages.views import view_batch
 
         with open(os.path.join(PDF_DIR, "test_words_color_style.pdf"), "rb") as fh:
             batch = pa.table(
                 {"doc_id": ["wc"], "pdf_bytes": [fh.read()]}
             )
-        return styles_batch(batch, CFG).to_pandas()
+        return view_batch(batch, "text_styles", CFG).to_pandas()
 
     def _line(self, styles, substr):
         for _key, g in styles.groupby(["box_idx", "line_idx"]):
@@ -383,15 +383,13 @@ class TestWordColors:
 
 class TestRayIntegration:
     def test_read_pdf_files_pipeline(self, ray_session):
-        """read_binary_files → PdfByteDecoder actor pool → span rows."""
-        from libpdf_ray.stages.parse import DocumentParser
+        """read_binary_files → PdfByteDecoder → span rows."""
+        from libpdf_ray.pipelines.extract import extract_spans
         from libpdf_ray.stages.pdf_decoder import PdfByteDecoder, read_pdf_files
 
         ds = read_pdf_files(sorted(glob.glob(f"{PDF_DIR}/*.pdf")))
-        out = ds.map_batches(
-            DocumentParser(CFG, decoder=PdfByteDecoder()),
-            batch_format="pyarrow",
-            batch_size=4,
+        out = extract_spans(
+            ds, PipelineConfig(parse_batch_size=4), decoder=PdfByteDecoder()
         )
         table = out.to_pandas()
         assert len(table) == 12

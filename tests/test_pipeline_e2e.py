@@ -35,12 +35,14 @@ def test_span_sequence_equality_all_families(ray_session, small_corpus_dir):
     assert mismatches == [], f"span mismatch for {mismatches[:3]}"
 
 
-def test_actor_pool_form_matches(ray_session, small_corpus_dir):
+def test_explicit_decoder_small_batches_match(ray_session, small_corpus_dir):
     from libpdf_ray.pipelines.extract import extract_spans, read_corpus
+    from libpdf_ray.stages.decoder import SidecarDecoder
 
-    cfg = PipelineConfig(smart_page_crop=True, parse_concurrency=2, parse_batch_size=4)
+    cfg = PipelineConfig(smart_page_crop=True, parse_batch_size=4)
     ds = read_corpus(small_corpus_dir)
-    got = {r["doc_id"]: r["spans"] for r in extract_spans(ds, cfg).take_all()}
+    out = extract_spans(ds, cfg, decoder=SidecarDecoder())
+    got = {r["doc_id"]: r["spans"] for r in out.take_all()}
     expected = _expected_by_doc(small_corpus_dir)
     assert got == expected
 

@@ -20,13 +20,13 @@ def _write(tmp_path, rows, name):
 
 def test_text_styles_lifting_tuples(ray_session, tmp_path):
     from libpdf_ray.pipelines.extract import read_corpus
-    from libpdf_ray.stages.styles import text_styles_table
+    from libpdf_ray.stages.views import view_table
 
     # colors family, doc 10: box 0 uniform red Courier; box 1 two lines with
     # different per-line colors; box 2 one line with mixed word colors
     doc = build_document(10, "colors")
     path = _write(tmp_path, [doc], "colors.parquet")
-    df = text_styles_table(read_corpus(path), SMART_CROP_CONFIG).to_pandas()
+    df = view_table(read_corpus(path), "text_styles", SMART_CROP_CONFIG).to_pandas()
 
     b0 = df[df["box_idx"] == 0]
     assert (b0["word_ncolor_r"] == 1.0).all()
@@ -57,11 +57,11 @@ def test_text_styles_lifting_tuples(ray_session, tmp_path):
 
 def test_rawchars_styles_survive_char_assembly(ray_session, tmp_path):
     from libpdf_ray.pipelines.extract import read_corpus
-    from libpdf_ray.stages.styles import text_styles_table
+    from libpdf_ray.stages.views import view_table
 
     doc = build_document(12, "rawchars")
     path = _write(tmp_path, [doc], "rawchars.parquet")
-    df = text_styles_table(read_corpus(path), SMART_CROP_CONFIG).to_pandas()
+    df = view_table(read_corpus(path), "text_styles", SMART_CROP_CONFIG).to_pandas()
     # the mixed-style char box: first word red, rest black (box index 3)
     b = df[df["box_idx"] == 3]
     assert len(b) > 1
@@ -72,11 +72,11 @@ def test_rawchars_styles_survive_char_assembly(ray_session, tmp_path):
 
 def test_rect_styles_exact_colors(ray_session, tmp_path):
     from libpdf_ray.pipelines.extract import read_corpus
-    from libpdf_ray.stages.styles import rect_styles_table
+    from libpdf_ray.stages.views import view_table
 
     doc = build_document(7, "rects")
     path = _write(tmp_path, [doc], "rects.parquet")
-    df = rect_styles_table(read_corpus(path), SMART_CROP_CONFIG).to_pandas()
+    df = view_table(read_corpus(path), "rect_styles", SMART_CROP_CONFIG).to_pandas()
     assert len(df) == 2
     colors = sorted(
         tuple(round(v, 3) for v in t)

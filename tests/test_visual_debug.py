@@ -45,7 +45,8 @@ def test_page_svg_geometry_and_colors():
 def test_render_over_corpus(ray_session, tmp_path):
     from libpdf_ray.fixtures import write_corpus
     from libpdf_ray.pipelines.extract import read_corpus
-    from libpdf_ray.stages.elements import elements_table, render_debug_svg
+    from libpdf_ray.stages.elements import render_debug_svg
+    from libpdf_ray.stages.views import view_table
 
     corpus = str(tmp_path / "corpus")
     out = str(tmp_path / "dbg")
@@ -58,7 +59,7 @@ def test_render_over_corpus(ray_session, tmp_path):
     files = glob.glob(os.path.join(out, "**", "*.svg"), recursive=True)
     assert sorted(files) == sorted(manifest["path"])
     # box count per page equals the elements view's per-page count
-    els = elements_table(read_corpus(corpus), SMART_CROP_CONFIG).to_pandas()
+    els = view_table(read_corpus(corpus), "elements", SMART_CROP_CONFIG).to_pandas()
     per_page = els.groupby(["doc_id", "page"]).size()
     for _, row in manifest.iterrows():
         expect = int(per_page.get((row["doc_id"], row["page"]), 0))
