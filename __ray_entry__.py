@@ -100,7 +100,7 @@ REFERENCE_PDF_DIR = "/root/reference/tests/pdf"
 def _q_pdf_spans(sf_dir: str):
     """Span extraction over REAL PDF bytes (the reference's 12 test PDFs;
     ``sf_dir`` is unused — the input is the reference corpus itself).
-    read_binary_files → PdfByteDecoder → the full layout pipeline →
+    read_pdf_files → PdfByteDecoder → the full layout pipeline →
     exploded span rows."""
     from libpdf_ray.pipelines.extract import extract_spans, spans_table
     from libpdf_ray.stages.pdf_decoder import PdfByteDecoder, read_pdf_files

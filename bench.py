@@ -163,8 +163,8 @@ def run_benchmarks() -> dict:
         }
 
     # real-PDF byte path: a cached synthetic PDF corpus (fixture docs
-    # rendered by kernels/pdfwrite) streamed through read_binary_files →
-    # PdfByteDecoder — the deployment shape for actual PDF files
+    # rendered by kernels/pdfwrite) read by read_pdf_files inside the
+    # PdfByteDecoder parse task — the deployment shape for actual PDF files
     pdf_dir = _ensure_pdf_corpus()
     from libpdf_ray.pipelines.extract import extract_spans
     from libpdf_ray.stages.pdf_decoder import PdfByteDecoder, read_pdf_files

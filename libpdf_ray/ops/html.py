@@ -18,7 +18,7 @@ sidebar, inline ads, comments, footer).  Extraction must then recover
 source table: a hash-checked, end-to-end contract on the whole
 strip-the-boilerplate path (the generator-as-oracle pattern of
 kernels/pdfwrite.py).  At real scale the render stage is replaced by
-``read_parquet``/``read_binary_files`` over stored pages; nothing else
+``read_parquet``/``read_html_files`` over stored pages; nothing else
 changes.
 """
 
@@ -107,58 +107,17 @@ def html_extract_dataset(sf_dir: str):
     )
 
 
-def read_html_files(paths, parallelism: int = -1):
-    """.html/.htm file paths (or a directory) → Dataset of
-    ``{doc_id, html}`` rows.
+def read_html_files(paths):
+    """.html/.htm file paths (a directory, a file, or a list of either) →
+    Dataset of ``{doc_id, html}`` rows, ``html`` the page's raw bytes.
 
-    Same read-task sizing as ``read_pdf_files`` (stages/pdf_decoder.py):
-    never more read tasks than files (empty blocks skip the fused UDF
-    chain and ship schema-less bundles), and no more than ~2× cluster
-    CPUs (fixed per-task dispatch dominates tiny tasks)."""
-    import os
+    Read inside the parse task as ``read_pdf_files`` is
+    (:func:`ops.util.read_files`).  The bytes are decoded per page in
+    :func:`html_spans_batch`, so one page that is not UTF-8 becomes one
+    error row rather than failing its whole batch."""
+    from .util import read_files
 
-    import ray
-    import ray.data as rd
-
-    if parallelism == -1:
-        n_files = 0
-        if isinstance(paths, str) and os.path.isdir(paths):
-            n_files = sum(
-                1
-                for f in os.listdir(paths)
-                if f.lower().endswith((".html", ".htm"))
-            )
-        elif isinstance(paths, (list, tuple)):
-            n_files = len(paths)
-        if n_files > 0:
-            try:
-                cpus = int(ray.cluster_resources().get("CPU", 32))
-            except Exception:
-                cpus = 32
-            parallelism = min(n_files, max(8, 2 * cpus))
-
-    ds = rd.read_binary_files(
-        paths,
-        include_paths=True,
-        override_num_blocks=parallelism,
-        file_extensions=["html", "htm", "HTML", "HTM"],
-    )
-
-    def to_rows(batch: pa.Table) -> pa.Table:
-        import os as _os
-
-        ids = [
-            _os.path.splitext(_os.path.basename(p))[0]
-            for p in batch.column("path").to_pylist()
-        ]
-        return pa.table(
-            {
-                "doc_id": pa.array(ids, pa.string()),
-                "html": batch.column("bytes").cast(pa.string()),
-            }
-        )
-
-    return ds.map_batches(to_rows, batch_format="pyarrow")
+    return read_files(paths, (".html", ".htm"), "html")
 
 
 def html_spans_batch(batch: pa.Table) -> pa.Table:
@@ -169,8 +128,10 @@ def html_spans_batch(batch: pa.Table) -> pa.Table:
     surviving content block a ``paragraph`` span — the same ordered-span
     contract the PDF and sidecar decoders emit, so every downstream stage
     (views, dedup, yaml dump, checkpointed writes) runs unchanged on HTML
-    input.  Poison-document discipline as in stages/parse.py: a page that
-    breaks the parser becomes an error row, never a dead task."""
+    input.  ``html`` is raw bytes (``read_html_files``), decoded here as
+    UTF-8 per page, or already ``str``.  Poison-document discipline as in
+    stages/parse.py: a page that fails to decode or breaks the parser
+    becomes an error row, never a dead task."""
     from ..kernels.htmldom import extract_blocks
     from ..schema import SPANS_TYPE
 
@@ -179,6 +140,8 @@ def html_spans_batch(batch: pa.Table) -> pa.Table:
         batch.column("doc_id").to_pylist(), batch.column("html").to_pylist()
     ):
         try:
+            if isinstance(html, bytes):
+                html = html.decode("utf-8")
             title, blocks, _dropped = extract_blocks(html or "")
             spans = []
             off = 0

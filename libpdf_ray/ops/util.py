@@ -17,8 +17,10 @@ BENCH notes in BASELINE.md):
 from __future__ import annotations
 
 import math
+import os
 
 import pandas as pd
+import pyarrow as pa
 
 # Above this many distinct keys, a single-task combine of per-batch partials
 # stops being safe (one worker would hold every partial row); flip to the
@@ -42,6 +44,67 @@ def cluster_cpus(default: int = 8) -> int:
     except Exception:  # noqa: BLE001
         pass
     return default
+
+
+def list_files(paths, extensions: tuple) -> list:
+    """A directory, a file, or a list of either → the sorted files whose
+    extension is in ``extensions`` (case-insensitive, e.g. ``(".pdf",)``).
+    Directories are walked recursively; explicit files are filtered too —
+    the file set ``read_binary_files(file_extensions=...)`` reads.  Raises
+    ``FileNotFoundError`` for a missing path and ``ValueError`` when
+    nothing matches."""
+    files = []
+    for p in [paths] if isinstance(paths, str) else paths:
+        if os.path.isdir(p):
+            files += [os.path.join(d, f) for d, _, fs in os.walk(p) for f in fs]
+        elif os.path.exists(p):
+            files.append(p)
+        else:
+            raise FileNotFoundError(p)
+    files = sorted(f for f in files if f.lower().endswith(extensions))
+    if not files:
+        raise ValueError(f"no {'/'.join(extensions)} files under {paths!r}")
+    return files
+
+
+def file_doc_id(path: str) -> str:
+    """A file's document id: its basename minus the extension."""
+    return os.path.splitext(os.path.basename(path))[0]
+
+
+def read_files(paths, extensions: tuple, column: str):
+    """File paths (see :func:`list_files`) → Dataset of ``{doc_id,
+    <column>}`` rows, ``<column>`` holding each file's raw bytes.
+
+    The driver only lists; each task opens its own block's files.  The plan
+    is ``FromItems → MapBatches(read)``, and since a map never changes row
+    counts Ray fuses the read with the caller's parse ``map_batches`` and
+    ``Write`` into one operator: no separate read tasks, and no file bytes
+    crossing the object store.  Blocks are capped at the file count, so no
+    block is ever empty, and at ~2× cluster CPUs (straggler slack; fixed
+    per-task dispatch dominates tiny tasks)."""
+    import ray.data
+
+    files = list_files(paths, extensions)
+    return ray.data.from_items(
+        [{"path": f} for f in files],
+        override_num_blocks=min(len(files), max(8, 2 * cluster_cpus())),
+    ).map_batches(
+        _read_batch, fn_kwargs={"column": column},
+        batch_format="pyarrow", batch_size=None,
+    )
+
+
+def _read_batch(batch: pa.Table, column: str) -> pa.Table:
+    paths = batch.column("path").to_pylist()
+    data = []
+    for p in paths:
+        with open(p, "rb") as fh:
+            data.append(fh.read())
+    return pa.table({
+        "doc_id": pa.array([file_doc_id(p) for p in paths], pa.string()),
+        column: pa.array(data, pa.binary()),
+    })
 
 
 def normalize_blocks(ds, target_blocks: int | None = None):

@@ -54,7 +54,6 @@ Caveats:
 from __future__ import annotations
 
 import functools
-import glob
 import os
 import pickle
 
@@ -63,6 +62,7 @@ import pyarrow.compute as pc
 
 from ..config import PipelineConfig
 from ..kernels.document import finish_document, prepare_pages, selected_pages
+from ..ops.util import cluster_cpus, file_doc_id, list_files
 from ..schema import SPANS_SCHEMA
 from ..stages.decoder import decode_sidecar_rows
 from ..stages.parse import parse_batch
@@ -155,7 +155,7 @@ class _Pdf:
             n = 0
         raw = pa.table(
             {
-                "doc_id": [os.path.splitext(os.path.basename(unit["path"]))[0]],
+                "doc_id": [file_doc_id(unit["path"])],
                 "pdf_bytes": pa.array([data], pa.binary()),
             }
         )
@@ -289,17 +289,10 @@ def _finish(rows, cfg):
 
 
 def _open(paths) -> tuple:
-    """Input paths → (source, files), told apart by file extension; a
-    directory contributes its ``.parquet`` and ``.pdf`` files."""
-    files = []
-    for p in [paths] if isinstance(paths, str) else paths:
-        if os.path.isdir(p):
-            files += sorted(
-                f for f in glob.glob(os.path.join(p, "*"))
-                if f.lower().endswith((".parquet", ".pdf"))
-            )
-        else:
-            files.append(p)
+    """Input paths → (source, files), told apart by file extension; the
+    files are listed as the file readers list them
+    (:func:`ops.util.list_files`)."""
+    files = list_files(paths, (".parquet", ".pdf"))
     kinds = {os.path.splitext(f)[1].lower() for f in files}
     if kinds == {".parquet"}:
         return _Sidecar(), files
@@ -307,7 +300,7 @@ def _open(paths) -> tuple:
         return _Pdf(), files
     raise ValueError(
         "extract_spans_split takes .parquet sidecar files or .pdf files, "
-        f"not a mix; got {sorted(kinds) or 'no files'}"
+        f"not a mix; got {sorted(kinds)}"
     )
 
 
@@ -324,8 +317,6 @@ def extract_spans_split(
     ``groupby(doc_id)`` finish.  Returns the ``extract_spans`` Dataset
     (``doc_id, spans, n_spans, est_pages, error``)."""
     import ray.data
-
-    from ..ops.util import cluster_cpus
 
     cfg = cfg or PipelineConfig()
     source, files = _open(paths)

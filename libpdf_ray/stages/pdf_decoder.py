@@ -506,66 +506,13 @@ class PdfByteDecoder:
         return rows
 
 
-def read_pdf_files(paths, parallelism: int = -1):
-    """PDF file paths (or a directory) → ``ray.data.Dataset`` of
-    ``{doc_id, pdf_bytes}`` rows.
+def read_pdf_files(paths):
+    """PDF file paths (a directory, a file, or a list of either) →
+    ``ray.data.Dataset`` of ``{doc_id, pdf_bytes}`` rows.
 
-    Uses ``read_binary_files(include_paths=True)`` so file bytes stream
-    through the object store block-by-block — at corpus scale each task
-    reads only its own shard of files, nothing materializes on the
-    driver."""
-    import ray.data
+    The driver lists the files; each parse task opens its own
+    (:func:`ops.util.read_files`), so the read fuses into the caller's
+    ``map_batches`` and file bytes never cross the object store."""
+    from ..ops.util import read_files
 
-    # Pick read parallelism explicitly: Ray's default block-split heuristic
-    # can request more read tasks than files, and the resulting EMPTY read
-    # blocks skip every fused map UDF — they then carry a schema-less
-    # RefBundle into any later union/shuffle (the intermittent
-    # HashShuffleAggregator failure documented in pipelines/split.py).
-    # Fewer, chunkier tasks also win outright: measured ~8.6 ms of fixed
-    # dispatch per read+decode task (600-file corpus: 32 tasks 0.75 s,
-    # 64 → 0.94 s, 200 → 2.2 s), so target 2× cluster CPUs (straggler
-    # slack; with many files per task, per-file skew averages out, and
-    # page-skewed heavy docs take the pipelines/split.py range path anyway).
-    # Local dirs/lists are counted directly; non-local paths keep the
-    # caller's parallelism (object-store listings happen inside Ray).
-    if parallelism == -1:
-        import os
-
-        n_files = 0
-        if isinstance(paths, str) and os.path.isdir(paths):
-            n_files = sum(
-                1 for f in os.listdir(paths) if f.lower().endswith(".pdf")
-            )
-        elif isinstance(paths, (list, tuple)):
-            n_files = len(paths)
-        if n_files > 0:
-            try:
-                import ray
-
-                cpus = int(ray.cluster_resources().get("CPU", 32))
-            except Exception:  # not initialized yet: Dataset will init
-                cpus = 32
-            parallelism = min(n_files, max(8, 2 * cpus))
-
-    ds = ray.data.read_binary_files(
-        paths,
-        include_paths=True,
-        override_num_blocks=parallelism,
-        file_extensions=["pdf", "PDF"],
-    )
-
-    def to_rows(batch: pa.Table) -> pa.Table:
-        import os
-
-        ids = [
-            os.path.splitext(os.path.basename(p))[0]
-            for p in batch.column("path").to_pylist()
-        ]
-        return pa.table(
-            {
-                "doc_id": pa.array(ids, pa.string()),
-                "pdf_bytes": batch.column("bytes"),
-            }
-        )
-
-    return ds.map_batches(to_rows, batch_format="pyarrow")
+    return read_files(paths, (".pdf",), "pdf_bytes")

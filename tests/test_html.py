@@ -175,7 +175,6 @@ class TestRayPipeline:
     def test_cli_html_input_to_spans(self, ray_session, tmp_path):
         """--input-format html over a directory of real .html files →
         span-schema parquet whose paragraphs rebuild the source text."""
-        import glob
         import os
 
         import pyarrow.parquet as pq
@@ -195,12 +194,16 @@ class TestRayPipeline:
         # one poison page: truncated garbage with NULs
         with open(os.path.join(pages, "doc_bad.html"), "w") as fh:
             fh.write("<html><body><p>unterminated " + "\x00" * 4)
+        # one page that is not UTF-8: an error row, the other pages parse
+        with open(os.path.join(pages, "doc_latin1.html"), "wb") as fh:
+            fh.write(b"<html><body><p>caf\xe9</p></body></html>")
 
         rc = main([pages, "-o", out, "--input-format", "html"])
         assert rc == 0
-        t = pq.read_table(glob.glob(os.path.join(out, "spans", "*.parquet"))[0])
+        t = pq.read_table(os.path.join(out, "spans"))
         rows = {r["doc_id"]: r for r in t.to_pylist()}
-        assert set(rows) == set(texts) | {"doc_bad"}
+        assert t.num_rows == len(rows)
+        assert set(rows) == set(texts) | {"doc_bad", "doc_latin1"}
         for did, text in texts.items():
             spans = rows[did]["spans"]
             assert spans[0]["kind"] == "chapter"
@@ -215,6 +218,12 @@ class TestRayPipeline:
         assert [(s["kind"], s["text"]) for s in bad["spans"]] == [
             ("paragraph", "unterminated \x00\x00\x00\x00")
         ]
+        latin1 = rows["doc_latin1"]
+        assert latin1["error"].startswith("UnicodeDecodeError: ")
+        assert (latin1["spans"], latin1["n_spans"], latin1["est_pages"]) == (
+            [], 0, 1
+        )
+        assert all(r["error"] == "" for d, r in rows.items() if d != "doc_latin1")
 
     def test_cli_html_rejects_view_modes(self, ray_session, tmp_path):
         from libpdf_ray.__main__ import main

@@ -383,7 +383,7 @@ class TestWordColors:
 
 class TestRayIntegration:
     def test_read_pdf_files_pipeline(self, ray_session):
-        """read_binary_files → PdfByteDecoder → span rows."""
+        """read_pdf_files → PdfByteDecoder → span rows."""
         from libpdf_ray.pipelines.extract import extract_spans
         from libpdf_ray.stages.pdf_decoder import PdfByteDecoder, read_pdf_files
 

@@ -208,7 +208,7 @@ def test_pdf_split_path_identical(ray_session, tmp_path):
 def test_ray_pipeline_over_written_pdfs(ray_session, tmp_path):
     """Write a small synthetic PDF corpus to disk and stream it through
     the Ray byte-decode pipeline — the real-PDF deployment shape at
-    miniature scale (read_binary_files → PdfByteDecoder pool)."""
+    miniature scale (read_pdf_files → PdfByteDecoder)."""
     import pandas as pd
 
     from libpdf_ray.pipelines.extract import extract_spans
