@@ -72,7 +72,7 @@ from .regions import (
     word_crop_text,
 )
 from .textmodel import (
-    assemble_lines_from_arrays,
+    assemble_glyph_lines,
     assemble_textbox_lines,
     assemble_word_boxes_batched,
     assemble_word_boxes_shared,
@@ -127,24 +127,26 @@ def numbered_outline(doc: dict, cfg: PipelineConfig) -> list:
 
 
 def textbox_lines(tb: dict, cfg: PipelineConfig) -> list:
-    """One raw textbox → its assembled line dicts: y-center line grouping
-    + word-margin word assembly + style lifting (utils.py:467-631).
+    """One raw textbox → its assembled line dicts: line grouping +
+    word-margin word assembly + style lifting (utils.py:467-631).
 
-    Array-backed textboxes (from the parse stage's flat Arrow decode) take
-    the vectorized twin; dict-backed ones (PDF-byte decode, unit tests,
-    direct rows) the reference-shaped fold — identical output."""
-    is_chars = tb.get("chartab") is not None
-    if is_chars or tb.get("wordtab") is not None:
-        return assemble_lines_from_arrays(
-            tab_slice(tb["chartab" if is_chars else "wordtab"]), is_chars,
-            cfg.line_y_tolerance, cfg.word_margin,
+    Glyph tables (``chartab``, from either decoder) take the array layout
+    kernel; word tables the batched word kernel; dict-backed boxes (unit
+    tests, direct rows) :func:`assemble_textbox_lines`.  An ungrouped soup
+    gets pdfminer's ``char_margin`` column rule; grouped boxes never do
+    (their extent IS the line extent)."""
+    char_margin = cfg.char_margin if tb.get("ungrouped") else 0.0
+    if tb.get("chartab") is not None:
+        return assemble_glyph_lines(
+            tab_slice(tb["chartab"]), cfg.line_y_tolerance, cfg.word_margin,
+            char_margin, bool(tb.get("stream_ordered")),
         )
+    if tb.get("wordtab") is not None:
+        return assemble_word_boxes_batched(
+            [tab_slice(tb["wordtab"])], cfg.line_y_tolerance
+        )[0]
     return assemble_textbox_lines(
-        tb, cfg.line_y_tolerance, cfg.word_margin,
-        # page-level analysis of an ungrouped soup applies the char_margin
-        # column split; grouped boxes never do (their extent IS the line
-        # extent)
-        char_margin=cfg.char_margin if tb.get("ungrouped") else 0.0,
+        tb, cfg.line_y_tolerance, cfg.word_margin, char_margin
     )
 
 

@@ -26,9 +26,11 @@ is re-derived from ISO 32000-1 §9 (text), §8.5 (paths) and §8.8
 - XObjects: Form recursion (``/Matrix`` composed, own resources), Image
   ``Do`` + inline ``BI..ID..EI`` → figure regions via the unit square.
 
-Output records are plain dicts in the shapes the engine's layout kernels
-already consume (``kernels/textmodel.py`` chars, ``kernels/regions.py``
-segments/rects, ``kernels/document.py`` figures).
+Glyphs accumulate in column buffers (one entry per glyph for the box and
+text, one run per show string for page / color id / font id), which the
+decoder cuts into the glyph tables ``kernels/textmodel.py`` consumes;
+segments / rects / figures are plain dicts in the shapes
+``kernels/regions.py`` and ``kernels/document.py`` consume.
 """
 
 from __future__ import annotations
@@ -475,7 +477,16 @@ class PageInterpreter:
     def __init__(self, pdf: PdfFile):
         self.pdf = pdf
         self._font_cache: dict = {}
-        self.chars: list = []
+        # glyph columns: flat (x0, y0, x1, y1) per glyph, its text, and one
+        # (page, color id, font id, glyph count) run per show string; ids
+        # index ``colors`` / ``fonts`` (id 0: no color / no font name)
+        self.glyph_boxes: list = []
+        self.glyph_text: list = []
+        self.glyph_runs: list = []
+        self.colors: list = [None]
+        self.fonts: list = [None]
+        self._color_ids: dict = {}
+        self._font_ids: dict = {}
         self.segments: list = []
         self.rects: list = []
         self.figures: list = []
@@ -647,16 +658,24 @@ class PageInterpreter:
                 tm = self._show(bytes(item), gs, tm)
         return tm
 
+    def _style_id(self, value, ids: dict, palette: list) -> int:
+        if not value:
+            return 0
+        k = ids.get(value)
+        if k is None:
+            k = ids[value] = len(palette)
+            palette.append(value)
+        return k
+
     def _show(self, raw, gs: _GState, tm):
         if not isinstance(raw, (bytes, bytearray)) or gs.font is None:
             return tm
         font = gs.font
         fsize, th, tc, tw, rise = gs.fsize, gs.th, gs.tc, gs.tw, gs.ts
-        invisible = gs.tr == 3
-        ncolor = gs.ncolor
-        page = self._page_no
-        asc, dsc = font.ascent, font.descent
-        chars = self.chars
+        visible = gs.tr != 3
+        boxes = self.glyph_boxes
+        texts = self.glyph_text
+        first = len(texts)
         # one full matrix composition per SHOW STRING; per glyph only the
         # translation advances (device delta = adv × the text-space x axis
         # of tm×ctm) — was 6 mat_mults per glyph, profiled hot
@@ -666,11 +685,13 @@ class PageInterpreter:
         ca, cb = fsize * mc, fsize * md    # glyph y axis (device)
         ox = rise * mc + me                # running glyph origin (device)
         oy = rise * md + mf
+        dca, dcb = font.descent * ca, font.descent * cb  # glyph-space corner
+        aca, acb = font.ascent * ca, font.ascent * cb    # offsets (device)
         total_adv = 0.0
         glyph_cache = font._glyph_cache
         space_code = font.space_code
-        fontname = font.name
-        for code in font.iter_codes(bytes(raw)):
+        codes = raw if font.code_bytes == 1 else font.iter_codes(bytes(raw))
+        for code in codes:
             cached = glyph_cache.get(code)
             if cached is None:
                 if font.font_matrix is not None:
@@ -683,30 +704,29 @@ class PageInterpreter:
             adv = (w0 * fsize + tc) * th
             if code == space_code:
                 adv += tw * th
-            if text and not invisible:
+            if text and visible:
                 # corners (0,dsc) and (w0|0.4, asc) in glyph space → AABB
                 gx = w0 if w0 > 0 else 0.4
-                ax = dsc * ca + ox
-                ay = dsc * cb + oy
-                bx = gx * ta + asc * ca + ox
-                by = gx * tb + asc * cb + oy
+                ax = dca + ox
+                ay = dcb + oy
+                bx = gx * ta + aca + ox
+                by = gx * tb + acb + oy
                 x0d, x1d = (ax, bx) if ax <= bx else (bx, ax)
                 y0d, y1d = (ay, by) if ay <= by else (by, ay)
                 for ch in text:
-                    chars.append(
-                        {
-                            "text": ch,
-                            "x0": x0d, "y0": y0d, "x1": x1d, "y1": y1d,
-                            "ncolor": ncolor,
-                            "fontname": fontname,
-                            "size": fsize,
-                            "page": page,
-                        }
-                    )
+                    texts.append(ch)
+                    boxes += (x0d, y0d, x1d, y1d)
                     x0d = x1d  # multi-char expansion (ligatures) share the box
             ox += adv * ma
             oy += adv * mb
             total_adv += adv
+        if len(texts) > first:
+            self.glyph_runs.append((
+                self._page_no,
+                self._style_id(gs.ncolor, self._color_ids, self.colors),
+                self._style_id(font.name, self._font_ids, self.fonts),
+                len(texts) - first,
+            ))
         return (tm[0], tm[1], tm[2], tm[3],
                 total_adv * tm[0] + tm[4], total_adv * tm[1] + tm[5])
 

@@ -1,7 +1,8 @@
 """The 4-level text model: HorizontalBox → HorizontalLine → Word → Char.
 
-Round 2: the layout assembly is a REAL engine kernel — the sidecar supplies
-unordered per-word (or per-char) boxes and the engine performs:
+Round 2: the layout assembly is a REAL engine kernel — the decoders supply
+per-word boxes or glyph tables (column arrays, the PDF decoder's in
+content-stream order) and the engine performs:
 
 - **line grouping by vertical center** with the reference's y tolerance
   (``assemble_to_lt_textlines``, /root/reference/libpdf/utils.py:606-631:
@@ -43,13 +44,14 @@ def _norm_color(ncolor):
     return t if t else None
 
 
-def _cluster_into_lines(items: list, y_tolerance: float,
-                        line_overlap: float = 0.0) -> list:
-    """Group glyph runs (words or chars) into lines by vertical center.
+def _cluster_into_lines(items: list, y_tolerance: float) -> list:
+    """Group word runs into lines by vertical center.
 
     ``items`` arrive in arbitrary order (the sidecar shuffles them); they are
     first brought into layout order (top→bottom, left→right), then folded
-    with the reference's running-last-center rule (utils.py:614-629).
+    with the reference's running-last-center rule (utils.py:614-629): the
+    reference passes line_overlap=0.5 POINTS as textbox_crop's y_tolerance,
+    a quirk pinned by tests (centers 0.6 pt apart must split).
     Each returned line is sorted by x0."""
     if not items:
         return []
@@ -57,75 +59,17 @@ def _cluster_into_lines(items: list, y_tolerance: float,
         items, key=lambda it: (-(it["y0"] + it["y1"]) / 2.0, it["x0"])
     )
     lines = [[ordered[0]]]
-    last = ordered[0]
-    last_yc = (last["y0"] + last["y1"]) / 2.0
+    last_yc = (ordered[0]["y0"] + ordered[0]["y1"]) / 2.0
     for it in ordered[1:]:
         yc = (it["y0"] + it["y1"]) / 2.0
-        # two rules, matching the pdfminer stack the reference runs on:
-        # the running-center rule (textbox_crop, utils.py:614-629) ALWAYS,
-        # plus — only when the caller passes ``line_overlap`` (the CHAR-
-        # soup page-level path) — pdfminer's relative-overlap rule
-        # (LAParams line_overlap=0.5): mixed-metric fonts on one baseline
-        # (serif + mono inline code, super/subscripts) have different
-        # glyph-box centers but still overlap most of their heights.
-        # Word/line inputs keep the absolute rule alone — the reference
-        # passes line_overlap=0.5 POINTS as textbox_crop's y_tolerance,
-        # a quirk pinned by tests (centers 0.6 pt apart must split).
-        same = abs(yc - last_yc) < y_tolerance
-        if not same and line_overlap > 0.0:
-            overlap = min(last["y1"], it["y1"]) - max(last["y0"], it["y0"])
-            min_h = min(last["y1"] - last["y0"], it["y1"] - it["y0"])
-            same = overlap > line_overlap * min_h > 0
-        if same:
+        if abs(yc - last_yc) < y_tolerance:
             lines[-1].append(it)
         else:
             lines.append([it])
-        last = it
         last_yc = yc
     for line in lines:
         line.sort(key=lambda it: it["x0"])
     return lines
-
-
-def _chars_to_words(line_chars: list, word_margin: float) -> list:
-    """Chars of ONE line (x-sorted) → word dicts.  pdfminer word semantics:
-    a word break occurs when the gap to the previous char exceeds
-    ``word_margin ×`` the next char's width; explicit space chars also
-    break (and are not part of any word)."""
-    words = []
-    cur: list = []
-
-    def flush():
-        if cur:
-            words.append(_make_word(cur))
-            cur.clear()
-
-    prev = None
-    for ch in line_chars:
-        if ch["text"].strip() == "":
-            flush()
-            prev = ch
-            continue
-        if prev is not None and cur:
-            gap = ch["x0"] - prev["x1"]
-            if gap > word_margin * (ch["x1"] - ch["x0"]):
-                flush()
-        cur.append(ch)
-        prev = ch
-    flush()
-    return words
-
-
-def _make_word(chars: list) -> dict:
-    return {
-        "text": "".join(c["text"] for c in chars),
-        "x0": min(c["x0"] for c in chars),
-        "y0": min(c["y0"] for c in chars),
-        "x1": max(c["x1"] for c in chars),
-        "y1": max(c["y1"] for c in chars),
-        "ncolor": _uniform(_norm_color(c.get("ncolor")) for c in chars),
-        "fontname": _uniform(c.get("fontname") or None for c in chars),
-    }
 
 
 def _line_from_words(words: list) -> dict:
@@ -145,81 +89,221 @@ def _line_from_words(words: list) -> dict:
     return line
 
 
-def is_pseudo_anno(run: dict) -> bool:
-    """pdfminer layout analysis injects pseudo ``anno`` whitespace glyphs
-    with NO geometry into the char stream; the reference deletes them
-    before any processing (``delete_page_ann``, libpdf/extract.py:446-486:
-    ``object_type == "anno" and text in [" ", "\\n"]``).  Our sidecar
-    encodes "no coordinates" as NaN boxes — real space chars always carry
-    a real box, so the predicate is exact."""
-    if run.get("text") not in (" ", "\n"):
-        return False
-    x0 = run.get("x0")
-    return x0 is None or x0 != x0  # NaN test without importing math
+def _object_array(values):
+    import numpy as np
+
+    if isinstance(values, np.ndarray):
+        return values
+    return np.fromiter(values, dtype=object, count=len(values))
 
 
-def delete_pseudo_annos(chars: list) -> list:
-    """Drop layout-analysis pseudo-anno glyphs from a char run list
-    (engine analog of ``delete_page_ann``, libpdf/extract.py:446-486)."""
-    return [c for c in chars if not is_pseudo_anno(c)]
+def glyph_table_from_dicts(chars: list) -> dict:
+    """Per-glyph dicts (fixture rows, unit tests) → the glyph table the
+    decoders hand the layout kernel: ``text``, ``x0..y1`` float arrays,
+    normalized ``ncolor`` / ``fontname`` object arrays and the
+    ``_has_color`` / ``_has_font`` masks.  A missing coordinate becomes
+    NaN, which is how a pseudo-anno glyph says "no geometry"."""
+    import numpy as np
+
+    nan = float("nan")
+    tab = {"text": _object_array([c.get("text") for c in chars])}
+    for k in ("x0", "y0", "x1", "y1"):
+        tab[k] = np.array(
+            [nan if c.get(k) is None else c[k] for c in chars], dtype=np.float64
+        )
+    tab["ncolor"] = _object_array([_norm_color(c.get("ncolor")) for c in chars])
+    tab["fontname"] = _object_array([c.get("fontname") or None for c in chars])
+    tab["_has_color"] = np.array([c is not None for c in tab["ncolor"]], dtype=bool)
+    tab["_has_font"] = np.array([f is not None for f in tab["fontname"]], dtype=bool)
+    return tab
 
 
-def _stream_lines(chars: list, line_overlap: float, char_margin: float) -> list:
-    """pdfminer ``group_objects`` line building over chars in STREAM
-    order: a glyph extends the current line iff it vertically overlaps
-    the previous glyph by more than ``line_overlap ×`` the smaller height
-    AND sits within ``char_margin ×`` the wider glyph horizontally.
+def _style_codes(tab: dict, key: str) -> tuple:
+    """(per-glyph style id, per-glyph normalized value) for the ``ncolor``
+    or ``fontname`` column; id 0 is "no style" (None).  Two glyphs share an
+    id iff ``_uniform`` would call their values equal, so a run is uniform
+    iff its min id equals its max id.  The PDF decoder interns ids per
+    document (``_color_id`` / ``_font_id``); other tables intern their
+    styled rows here."""
+    import numpy as np
 
-    Stream locality is what keeps COLUMNS apart when the gutter is
-    narrower than ``char_margin × width`` (the writer emits one column's
-    text block before the other's, so cross-column glyphs are never
-    stream-adjacent) — exactly how pdfminer separates two-column pages.
-    Returns x-sorted line groups in first-glyph order."""
-    lines: list = []
-    cur: list = []
-    last = None
-    for ch in chars:
-        if last is not None:
-            ov = min(last["y1"], ch["y1"]) - max(last["y0"], ch["y0"])
-            min_h = min(last["y1"] - last["y0"], ch["y1"] - ch["y0"])
-            if ch["x0"] >= last["x1"]:
-                hdist = ch["x0"] - last["x1"]
-            elif last["x0"] >= ch["x1"]:
-                hdist = last["x0"] - ch["x1"]
-            else:
-                hdist = 0.0
-            w = max(last["x1"] - last["x0"], ch["x1"] - ch["x0"])
-            if not (ov > line_overlap * min_h and hdist < char_margin * w):
-                lines.append(cur)
-                cur = []
-        cur.append(ch)
-        last = ch
-    if cur:
-        lines.append(cur)
-    for ln in lines:
-        ln.sort(key=lambda c: c["x0"])
+    vals = tab[key]
+    ids = tab.get("_color_id" if key == "ncolor" else "_font_id")
+    if ids is not None:
+        return ids, vals
+    has = tab.get("_has_color" if key == "ncolor" else "_has_font")
+    norm = _norm_color if key == "ncolor" else (lambda f: f or None)
+    ids = np.zeros(len(vals), dtype=np.int64)
+    out = np.full(len(vals), None, dtype=object)
+    seen: dict = {}
+    rows = range(len(vals)) if has is None else np.flatnonzero(has).tolist()
+    for i in rows:
+        v = norm(vals[i])
+        if v is not None:
+            ids[i] = seen.setdefault(v, len(seen) + 1)
+            out[i] = v
+    return ids, out
+
+
+def _segment_style(ids, vals, starts) -> tuple:
+    """Per-segment (id, value): the first row's when every row of the
+    segment shares one id, else (0, None) — mixed lifts to None."""
+    import numpy as np
+
+    lo = np.minimum.reduceat(ids, starts)
+    seg = np.where(lo == np.maximum.reduceat(ids, starts), lo, 0)
+    return seg, np.where(seg > 0, vals[starts], None)
+
+
+def assemble_glyph_lines(
+    tab: dict,
+    y_tolerance: float = 0.5,
+    word_margin: float = 0.1,
+    char_margin: float = 0.0,
+    stream_ordered: bool = False,
+) -> list:
+    """Glyph table → assembled line dicts, top-to-bottom: the layout
+    analysis of a char soup as one pass of array ops.
+
+    Line building has two modes, both pdfminer's neighbour tests on
+    shifted arrays:
+
+    - ``stream_ordered`` with ``char_margin`` > 0 (a real-PDF page soup):
+      a glyph extends the current line iff it overlaps the PREVIOUS
+      STREAM glyph vertically by more than 0.5 × the smaller height and
+      sits within ``char_margin`` × the wider glyph horizontally.  Stream
+      locality keeps columns apart even across a gutter narrower than
+      ``char_margin`` × width; finished lines are ordered by
+      (−(min y0 + max y1)/2, first x0).
+    - otherwise (shuffled sidecar soups) glyphs are sorted by (−y-center,
+      x0) and a glyph joins the previous one's line when the centers are
+      within ``y_tolerance`` OR the boxes overlap by more than 0.5 × the
+      smaller height (mixed-metric runs on one baseline); an ungrouped
+      region (``char_margin`` > 0) then splits each x-sorted line at gaps
+      ≥ ``char_margin`` × the wider neighbour (side-by-side columns).
+
+    Words follow pdfminer's ``word_margin`` rule: a word breaks at a
+    whitespace glyph (which joins no word) or where the gap to the previous
+    glyph of the line exceeds ``word_margin`` × the glyph's width.  Word
+    and line styles lift only when uniform.  Pseudo-anno glyphs (whitespace
+    with a NaN box, libpdf/extract.py:446-486) are dropped first, and lines
+    of only whitespace never appear.  Lines come back in the lazy
+    ``_wt``/``_idx`` form over one word table (see :func:`line_word_dicts`).
+    """
+    import numpy as np
+
+    text = _object_array(tab["text"])
+    cids, cvals = _style_codes(tab, "ncolor")
+    fids, fvals = _style_codes(tab, "fontname")
+    x0, y0, x1, y1 = (tab[k] for k in ("x0", "y0", "x1", "y1"))
+    drop = [
+        i for i in np.flatnonzero(np.isnan(x0)).tolist() if text[i] in (" ", "\n")
+    ]
+    if drop:
+        keep = np.ones(len(text), dtype=bool)
+        keep[drop] = False
+        text, x0, y0, x1, y1, cids, cvals, fids, fvals = (
+            a[keep] for a in (text, x0, y0, x1, y1, cids, cvals, fids, fvals)
+        )
+    n = len(text)
+    if n == 0:
+        return []
+
+    if stream_ordered and char_margin > 0.0:
+        a, b = slice(None, -1), slice(1, None)
+        overlap = np.minimum(y1[a], y1[b]) - np.maximum(y0[a], y0[b])
+        min_h = np.minimum(y1[a] - y0[a], y1[b] - y0[b])
+        hdist = np.where(
+            x0[b] >= x1[a], x0[b] - x1[a],
+            np.where(x0[a] >= x1[b], x0[a] - x1[b], 0.0),
+        )
+        width = np.maximum(x1[a] - x0[a], x1[b] - x0[b])
+        brk = np.ones(n, dtype=bool)
+        brk[1:] = ~((overlap > 0.5 * min_h) & (hdist < char_margin * width))
+        line = np.cumsum(brk) - 1
+        starts = np.flatnonzero(brk)
+        # order finished lines by (−(min y0 + max y1)/2, first x0)
+        ykey = -(np.minimum.reduceat(y0, starts)
+                 + np.maximum.reduceat(y1, starts)) / 2.0
+        first_x0 = np.minimum.reduceat(x0, starts)
+        rank = np.empty(len(starts), dtype=np.int64)
+        rank[np.lexsort((first_x0, ykey))] = np.arange(len(starts))
+        line = rank[line]
+        order = np.lexsort((x0, line))
+        line = line[order]
+    else:
+        yc = (y0 + y1) / 2.0
+        order = np.lexsort((x0, -yc))
+        yo, y0o, y1o = yc[order], y0[order], y1[order]
+        half_h = 0.5 * np.minimum(y1o[1:] - y0o[1:], y1o[:-1] - y0o[:-1])
+        same = (np.abs(np.diff(yo)) < y_tolerance) | (
+            (np.minimum(y1o[1:], y1o[:-1]) - np.maximum(y0o[1:], y0o[:-1]) > half_h)
+            & (half_h > 0)
+        )
+        line = np.concatenate(([0], np.cumsum(~same)))
+        resort = np.lexsort((x0[order], line))
+        order, line = order[resort], line[resort]
+    # glyph rows in final order: by line, x-sorted within each line
+    x0, y0, x1, y1 = x0[order], y0[order], x1[order], y1[order]
+    newline = np.ones(n, dtype=bool)
+    newline[1:] = line[1:] != line[:-1]
+    if char_margin > 0.0 and not stream_ordered:
+        gap = x0[1:] - x1[:-1]
+        width = np.maximum(x1[1:] - x0[1:], x1[:-1] - x0[:-1])
+        newline[1:] |= (gap >= char_margin * width) & (gap > 0)
+
+    text = text[order]
+    ws = np.fromiter((not s or s.isspace() for s in text), dtype=bool, count=n)
+    new_word = newline.copy()
+    new_word[1:] |= ws[:-1] | (x0[1:] - x1[:-1] > word_margin * (x1[1:] - x0[1:]))
+    kept = np.flatnonzero(~ws)
+    if len(kept) == 0:
+        return []
+    wstart = np.flatnonzero(new_word[kept])
+    nw = len(wstart)
+    wx0 = np.minimum.reduceat(x0[kept], wstart)
+    wy0 = np.minimum.reduceat(y0[kept], wstart)
+    wx1 = np.maximum.reduceat(x1[kept], wstart)
+    wy1 = np.maximum.reduceat(y1[kept], wstart)
+    gk = order[kept]  # table rows of the word glyphs, in final order
+    wc, wcolor = _segment_style(cids[gk], cvals[gk], wstart)
+    wf, wfont = _segment_style(fids[gk], fvals[gk], wstart)
+    chars = text[kept].tolist()
+    bounds = np.append(wstart, len(kept)).tolist()
+    wtext = ["".join(chars[bounds[k]:bounds[k + 1]]) for k in range(nw)]
+
+    wline = (np.cumsum(newline) - 1)[kept[wstart]]
+    lstart = np.flatnonzero(np.concatenate(([True], wline[1:] != wline[:-1])))
+    lbounds = np.append(lstart, nw).tolist()
+    lx0 = np.minimum.reduceat(wx0, lstart).tolist()
+    ly0 = np.minimum.reduceat(wy0, lstart).tolist()
+    lx1 = np.maximum.reduceat(wx1, lstart).tolist()
+    ly1 = np.maximum.reduceat(wy1, lstart).tolist()
+    lcolor = _segment_style(wc, wcolor, lstart)[1].tolist()
+    lfont = _segment_style(wf, wfont, lstart)[1].tolist()
+    wt = {
+        "text": _object_array(wtext),
+        "x0": wx0, "y0": wy0, "x1": wx1, "y1": wy1,
+        "ncolor": wcolor, "fontname": wfont,
+    }
+    idx = np.arange(nw, dtype=np.int64)
+    lines = []
+    for li in range(len(lstart)):
+        a, b = lbounds[li], lbounds[li + 1]
+        lines.append(
+            {
+                "text": " ".join(wtext[a:b]),
+                "ncolor": lcolor[li],
+                "fontname": lfont[li],
+                "x0": lx0[li],
+                "y0": ly0[li],
+                "x1": lx1[li],
+                "y1": ly1[li],
+                "_wt": wt,
+                "_idx": idx[a:b],
+            }
+        )
     return lines
-
-
-def _split_by_char_margin(line_chars: list, char_margin: float) -> list:
-    """Split one x-sorted glyph row at gaps wider than ``char_margin ×``
-    the wider neighboring glyph (pdfminer ``hdistance < char_margin *
-    max(w0, w1)`` line-membership rule, LAParams char_margin — the
-    reference configures 6.0).  Side-by-side COLUMNS share a y-row but
-    sit across a gutter far wider than any intra-line gap; without this
-    split a two-column page fuses into garbled full-width lines."""
-    if len(line_chars) < 2:
-        return [line_chars]
-    out = [[line_chars[0]]]
-    prev = line_chars[0]
-    for ch in line_chars[1:]:
-        gap = ch["x0"] - prev["x1"]
-        w = max(prev["x1"] - prev["x0"], ch["x1"] - ch["x0"])
-        if gap >= char_margin * w and gap > 0:
-            out.append([])
-        out[-1].append(ch)
-        prev = ch
-    return out
 
 
 def assemble_textbox_lines(
@@ -231,42 +315,17 @@ def assemble_textbox_lines(
     """Raw sidecar textbox → assembled line dicts (the engine's layout
     analysis step).
 
-    Accepts, in priority order: ``chars`` (rawest — char→word→line), then
+    Accepts, in priority order: ``chars`` (rawest — char→word→line, through
+    :func:`glyph_table_from_dicts` and :func:`assemble_glyph_lines`), then
     ``words`` (word→line), then pre-assembled ``lines`` (legacy corpora /
-    unit tests).  Pseudo-anno whitespace glyphs are deleted from char
-    streams first (libpdf/extract.py:446-486).  Returns ``[{"text",
-    "ncolor", "fontname", "words"}, …]`` top-to-bottom."""
+    unit tests).  Returns ``[{"text", "ncolor", "fontname", ...}, …]``
+    top-to-bottom; read word dicts through :func:`line_word_dicts`."""
     chars = textbox.get("chars")
     if chars:
-        chars = delete_pseudo_annos(chars)
-        if char_margin > 0.0 and textbox.get("stream_ordered"):
-            # real-PDF soup: glyph STREAM order is meaningful — build
-            # lines the way pdfminer does (columns stay separate even
-            # across a gutter narrower than char_margin × width), then
-            # order the finished lines top-to-bottom for grouping
-            line_groups = _stream_lines(chars, 0.5, char_margin)
-            line_groups.sort(
-                key=lambda g: (
-                    -(min(c["y0"] for c in g) + max(c["y1"] for c in g)) / 2.0,
-                    g[0]["x0"],
-                )
-            )
-        else:
-            line_groups = _cluster_into_lines(list(chars), y_tolerance,
-                                              line_overlap=0.5)
-            if char_margin > 0.0:
-                line_groups = [
-                    part
-                    for g in line_groups
-                    for part in _split_by_char_margin(g, char_margin)
-                ]
-        lines = [
-            _line_from_words(_chars_to_words(g, word_margin)) for g in line_groups
-        ]
-        # a run of ONLY whitespace glyphs yields a word-less line with no
-        # geometry (real-PDF char soups produce these; the sidecar never
-        # does) — it carries no text and must not reach textbox grouping
-        return [ln for ln in lines if ln["words"]]
+        return assemble_glyph_lines(
+            glyph_table_from_dicts(chars), y_tolerance, word_margin,
+            char_margin, bool(textbox.get("stream_ordered")),
+        )
     words = textbox.get("words")
     if words:
         norm = [
@@ -304,197 +363,18 @@ def _legacy_line(line: dict) -> dict:
     }
 
 
-def _words_from_char_arrays(
-    wt: dict, idx, word_margin: float, ws_all, hc_all, hf_all
-) -> list:
-    """Vectorized chars→words for ONE x-sorted line: ``idx`` indexes the
-    char table ``wt``.  Output-identical to ``_chars_to_words`` +
-    ``_make_word`` over per-char dicts (pinned by the chars-mode fixture
-    families), but word boundaries and bboxes come from numpy array ops —
-    the per-char dict listcomp and per-word genexpr folds were ~80% of the
-    chars assembly time (round-4 profile).
-
-    ``ws_all``/``hc_all``/``hf_all`` are BOX-level per-row masks
-    (whitespace / has-color / has-font), computed once per textbox by the
-    caller so per-line work is pure indexing; style folds run only for
-    words that actually carry a styled char.
-
-    Break semantics preserved exactly: a word break occurs at a whitespace
-    char (which joins no word), or when the gap to the PREVIOUS char (even
-    a whitespace one) exceeds ``word_margin ×`` the next char's width."""
-    import numpy as np
-
-    n = len(idx)
-    if n == 0:
-        return []
-    ws = ws_all[idx]
-    x0l = wt["x0"][idx]
-    x1l = wt["x1"][idx]
-    brk = np.zeros(n, dtype=bool)
-    if n > 1:
-        brk[1:] = (x0l[1:] - x1l[:-1]) > word_margin * (x1l[1:] - x0l[1:])
-    prev_ws = np.empty(n, dtype=bool)
-    prev_ws[0] = True
-    prev_ws[1:] = ws[:-1]
-    kept = np.flatnonzero(~ws)
-    if len(kept) == 0:
-        return []
-    new_word = (prev_ws | brk)[kept]
-    new_word[0] = True
-    starts = np.flatnonzero(new_word)
-    ends = np.empty(len(starts), dtype=np.int64)
-    ends[:-1] = starts[1:]
-    ends[-1] = len(kept)
-    gi = idx[kept]  # char-table indices, per kept char
-    wx0 = np.minimum.reduceat(x0l[kept], starts)
-    wy0 = np.minimum.reduceat(wt["y0"][idx][kept], starts)
-    wx1 = np.maximum.reduceat(x1l[kept], starts)
-    wy1 = np.maximum.reduceat(wt["y1"][idx][kept], starts)
-    word_hc = np.bitwise_or.reduceat(hc_all[gi], starts)
-    word_hf = np.bitwise_or.reduceat(hf_all[gi], starts)
-    texts = wt["text"]
-    ncolors = wt["ncolor"]
-    fonts = wt["fontname"]
-    words = []
-    for k in range(len(starts)):
-        gsl = gi[starts[k]:ends[k]]
-        words.append(
-            {
-                "text": "".join(texts[i] for i in gsl),
-                "x0": float(wx0[k]),
-                "y0": float(wy0[k]),
-                "x1": float(wx1[k]),
-                "y1": float(wy1[k]),
-                "ncolor": _uniform(_norm_color(ncolors[i]) for i in gsl)
-                if word_hc[k]
-                else None,
-                "fontname": _uniform(fonts[i] or None for i in gsl)
-                if word_hf[k]
-                else None,
-            }
-        )
-    return words
-
-
-def assemble_lines_from_arrays(
-    wt: dict,
-    is_chars: bool,
-    y_tolerance: float = 0.5,
-    word_margin: float = 0.1,
-) -> list:
-    """Array-form layout assembly — the hot-path twin of
-    :func:`assemble_textbox_lines`.
-
-    ``wt`` is a word table: ``{"text": list[str], "x0"/"y0"/"x1"/"y1":
-    np.ndarray, "ncolor": list, "fontname": list}`` (decoded zero-copy-ish
-    from the Arrow batch, see stages.parse).  Produces the same line dicts,
-    but per-word dicts are NOT materialized for the word path — ``words``
-    is built lazily by :func:`line_word_dicts` (only table-bearing pages
-    need word boxes).  Identical grouping semantics: sort by (−y-center,
-    x0), break lines on |Δ y-center| ≥ tolerance."""
-    import numpy as np
-
-    n = len(wt["text"])
-    if n == 0:
-        return []
-    if is_chars:
-        # delete pseudo-anno whitespace glyphs (no geometry ⇒ NaN box;
-        # libpdf/extract.py:446-486) BEFORE the geometric sort — NaN
-        # y-centers would poison the lexsort.  Text check only runs on
-        # the (rare) NaN rows.
-        nan_idx = np.nonzero(np.isnan(wt["x0"]))[0]
-        if len(nan_idx):
-            keep = np.ones(n, dtype=bool)
-            for i in nan_idx.tolist():
-                if wt["text"][i] in (" ", "\n"):
-                    keep[i] = False
-            if not keep.all():
-                ki = np.nonzero(keep)[0]
-
-                def _take(col):
-                    if isinstance(col, np.ndarray):
-                        return col[ki]
-                    return [col[i] for i in ki]
-
-                wt = {k: _take(v) for k, v in wt.items()}
-                n = len(wt["text"])
-                if n == 0:
-                    return []
-    if is_chars:
-        # box-level masks, computed once (per-line fromiter was a measured
-        # regression on short lines): whitespace rows + style presence.
-        # The decoder pre-slices "_has_color"/"_has_font"; dict-form tabs
-        # (unit tests, legacy corpora) compute them here.
-        texts0 = wt["text"]
-        ws_all = np.fromiter(
-            ((s or "").strip() == "" for s in texts0),
-            dtype=bool,
-            count=n,
-        )
-        hc_all = wt.get("_has_color")
-        if hc_all is None:
-            hc_all = np.fromiter(
-                (c is not None for c in wt["ncolor"]), dtype=bool, count=n
-            )
-        hf_all = wt.get("_has_font")
-        if hf_all is None:
-            hf_all = np.fromiter(
-                (bool(f) for f in wt["fontname"]), dtype=bool, count=n
-            )
-    yc = (wt["y0"] + wt["y1"]) / 2.0
-    order = np.lexsort((wt["x0"], -yc))
-    yc_o = yc[order]
-    breaks = np.nonzero(np.abs(np.diff(yc_o)) >= y_tolerance)[0] + 1
-    bounds = [0, *breaks.tolist(), n]
-    texts = wt["text"]
-    ncolors = wt["ncolor"]
-    fonts = wt["fontname"]
-    lines = []
-    for a, b in zip(bounds[:-1], bounds[1:]):
-        idx = order[a:b]
-        # within a line, order is strictly by x0 (grouping tolerance may
-        # have admitted slightly different y-centers)
-        idx = idx[np.argsort(wt["x0"][idx], kind="stable")]
-        if is_chars:
-            lines.append(
-                _line_from_words(
-                    _words_from_char_arrays(
-                        wt, idx, word_margin, ws_all, hc_all, hf_all
-                    )
-                )
-            )
-            continue
-        line_texts = [texts[i] for i in idx]
-        ncolor = _uniform(_norm_color(ncolors[i]) for i in idx)
-        fontname = _uniform(fonts[i] or None for i in idx)
-        lines.append(
-            {
-                "text": " ".join(line_texts),
-                "ncolor": ncolor,
-                "fontname": fontname,
-                "x0": float(wt["x0"][idx].min()),
-                "y0": float(wt["y0"][idx].min()),
-                "x1": float(wt["x1"][idx].max()),
-                "y1": float(wt["y1"][idx].max()),
-                "_wt": wt,
-                "_idx": idx,
-            }
-        )
-    return lines
-
-
 def assemble_word_boxes_batched(tabs: list, y_tolerance: float = 0.5) -> list:
     """Batched word→line assembly for MANY word-backed textboxes of one
-    document — output-identical to running the words path of
-    :func:`assemble_lines_from_arrays` per box, but the geometric sorts run
-    as ONE numpy pass over the document's concatenated word table instead
-    of ~15 small-array kernel calls per box (per-box dispatch overhead was
-    ~40% of parse-task time on 100-page manuals).
+    document — the same lines :func:`assemble_textbox_lines` builds from
+    each box's word dicts, but the geometric sorts run as ONE numpy pass over
+    the document's concatenated word table instead of ~15 small-array
+    kernel calls per box (per-box dispatch overhead was ~40% of parse-task
+    time on 100-page manuals).
 
     ``tabs``: per-box word tables (``None``/empty allowed).  Returns one
     assembled line list per input tab.
 
-    Ordering semantics, kept bit-identical to the per-box twin: the
+    Ordering semantics, kept bit-identical to the dict route: the
     grouping sort is ``lexsort((x0, −y_center, box))`` (stable), lines
     break on box change or ``|Δ y-center| ≥ y_tolerance``, and within each
     line rows re-sort stably by x0 — expressed here as a second global
@@ -588,7 +468,7 @@ def tab_slice(tab):
     the batch-level flat word table (building one slice dict per textbox
     was 15% of parse-task time — measured round 4); this materializes the
     dict-of-slices form for the code paths that want per-box arrays
-    (chars assembly, styles view, legacy dict tabs pass through)."""
+    (glyph assembly, styles view, legacy dict tabs pass through)."""
     if tab is None or isinstance(tab, dict):
         return tab
     shared, lo, hi = tab

@@ -63,12 +63,12 @@ class DocumentDecoder(Protocol):
         ...
 
 
-def _decode_colors(nc_arr):
-    """list<double> color column → object ndarray of NORMALIZED values
-    (``None`` or a tuple of python floats — exactly ``_norm_color``'s
-    codomain, on which ``_norm_color`` is idempotent).  Normalizing once
-    at decode time replaces a per-word ``_norm_color`` call per line pass
-    downstream."""
+def _decode_colors(nc_arr) -> tuple:
+    """list<double> color column → (object ndarray of NORMALIZED values,
+    per-row list lengths with null as -1).  Values are ``None`` or a tuple
+    of python floats — exactly ``_norm_color``'s codomain, on which
+    ``_norm_color`` is idempotent.  Normalizing once at decode time
+    replaces a per-word ``_norm_color`` call per line pass downstream."""
     import numpy as np
 
     lens = (
@@ -85,7 +85,7 @@ def _decode_colors(nc_arr):
     np.cumsum(np.maximum(lens, 0), out=pos[1:])
     for i in np.flatnonzero(lens > 0).tolist():
         out[i] = tuple(vals[pos[i]:pos[i + 1]].tolist())
-    return out
+    return out, lens
 
 
 def _decode_word_runs(list_arr):
@@ -93,7 +93,12 @@ def _decode_word_runs(list_arr):
     word-table dict of flat arrays).  Nulls count as length 0, matching
     ``flatten()``'s null-skipping compaction.  Variable-width fields
     (text / fontname / ncolor) decode into OBJECT ndarrays so the
-    per-textbox ``slice_tab`` cuts are zero-copy views, not list copies."""
+    per-textbox ``slice_tab`` cuts are zero-copy views, not list copies.
+
+    The per-row style-presence masks ``_has_color`` / ``_has_font`` come
+    from Arrow lengths (a non-empty color list / a non-empty font name):
+    the assembly kernel lifts color/font per LINE only where a styled row
+    exists — unstyled lines skip the uniform-or-None fold entirely."""
     import numpy as np
 
     lengths = (
@@ -108,15 +113,20 @@ def _decode_word_runs(list_arr):
     # string→object-ndarray via to_numpy: 13× over to_pylist-then-assign
     # (measured round 4; nulls become None either way)
     text = flat.field("text").to_numpy(zero_copy_only=False)
-    fonts = flat.field("fontname").to_numpy(zero_copy_only=False)
+    fonts = flat.field("fontname")
+    ncolor, color_lens = _decode_colors(flat.field("ncolor"))
     wt = {
         "text": text,
         "x0": flat.field("x0").to_numpy(zero_copy_only=False),
         "y0": flat.field("y0").to_numpy(zero_copy_only=False),
         "x1": flat.field("x1").to_numpy(zero_copy_only=False),
         "y1": flat.field("y1").to_numpy(zero_copy_only=False),
-        "ncolor": _decode_colors(flat.field("ncolor")),
-        "fontname": fonts,
+        "ncolor": ncolor,
+        "fontname": fonts.to_numpy(zero_copy_only=False),
+        "_has_color": color_lens > 0,
+        "_has_font": pa.compute.greater(pa.compute.utf8_length(fonts), 0)
+        .fill_null(False)
+        .to_numpy(zero_copy_only=False),
     }
     return cum, wt
 
@@ -153,20 +163,6 @@ def _decode_textboxes(col) -> list:
         ungrouped = [None] * len(page)
     w_cum, w_tab = _decode_word_runs(flat.field("words"))
     c_cum, c_tab = _decode_word_runs(flat.field("chars"))
-    # per-row style presence (vectorized once per batch): the assembly
-    # kernel lifts color/font per LINE only where a styled row exists —
-    # unstyled lines skip the uniform-or-None fold entirely
-    for tab in (w_tab, c_tab):
-        tab["_has_color"] = np.fromiter(
-            (c is not None for c in tab["ncolor"]),
-            dtype=bool,
-            count=len(tab["ncolor"]),
-        )
-        tab["_has_font"] = np.fromiter(
-            (bool(f) for f in tab["fontname"]),
-            dtype=bool,
-            count=len(tab["fontname"]),
-        )
 
     def tab_view(tab, a, b):
         # LIGHT view (shared_table, lo, hi) — building a dict of slices per

@@ -11,10 +11,11 @@ runs unchanged on real PDF files.
 What the decoder emits (the ``stages/decoder.py`` contract):
 
 - ``pages``: page number / object id / visible width + height;
-- ``textboxes``: ONE ungrouped char-soup region per page — deliberately
-  the rawest form, so the engine performs pdfminer's entire layout
-  analysis itself (char→word→line→textbox grouping,
-  ``kernels/textmodel.py``), exactly as it does for the sidecar corpus;
+- ``textboxes``: ONE ungrouped, stream-ordered glyph soup per page, as a
+  ``chartab`` view into the document's glyph table — deliberately the
+  rawest form, so the engine performs pdfminer's entire layout analysis
+  itself (char→word→line→textbox grouping, ``kernels/textmodel.py``),
+  exactly as it does for the sidecar corpus;
 - ``segments`` / ``rects`` / ``figures`` from the content-stream
   interpreter (table detection, rect view, figure regions);
 - ``raw_annots`` in the schema-v6 raw-annot encoding
@@ -35,6 +36,7 @@ through the target page's rotation so downstream tolerance joins
 
 from __future__ import annotations
 
+import numpy as np
 import pyarrow as pa
 
 from ..kernels.pdfobj import (
@@ -381,6 +383,38 @@ def pdf_page_count(data: bytes) -> int:
     return len(PdfFile(data).pages())
 
 
+def _glyph_table(interp: PageInterpreter) -> tuple:
+    """The interpreter's glyph columns → (one glyph table for the whole
+    document, ``[(page, lo, hi)]`` row ranges, one per page with glyphs).
+    Pages run in page-number order, so each page's glyphs are one
+    contiguous range, in content-stream order.
+
+    The table has the sidecar decoder's ``chartab`` columns (``text``,
+    ``x0..y1``, ``ncolor``, ``fontname``, ``_has_color``, ``_has_font``)
+    plus the document-interned ``_color_id`` / ``_font_id`` the layout
+    kernel folds word styles with."""
+    n = len(interp.glyph_text)
+    if n == 0:
+        return {}, []
+    runs = np.array(interp.glyph_runs, dtype=np.int64).reshape(-1, 4)
+    page, cid, fid = (np.repeat(runs[:, k], runs[:, 3]) for k in range(3))
+    text = np.empty(n, dtype=object)
+    text[:] = interp.glyph_text
+    boxes = np.array(interp.glyph_boxes, dtype=np.float64).reshape(n, 4).T.copy()
+    tab = {
+        "text": text,
+        "x0": boxes[0], "y0": boxes[1], "x1": boxes[2], "y1": boxes[3],
+        "ncolor": np.fromiter(interp.colors, dtype=object)[cid],
+        "fontname": np.fromiter(interp.fonts, dtype=object)[fid],
+        "_has_color": cid > 0,
+        "_has_font": fid > 0,
+        "_color_id": cid,
+        "_font_id": fid,
+    }
+    cuts = [0, *(np.flatnonzero(np.diff(page)) + 1).tolist(), n]
+    return tab, [(int(page[a]), a, b) for a, b in zip(cuts[:-1], cuts[1:])]
+
+
 def decode_pdf_document(doc_id: str, data: bytes,
                         page_subset=None) -> dict:
     """One PDF file → the engine's internal document dict.
@@ -420,17 +454,13 @@ def decode_pdf_document(doc_id: str, data: bytes,
         except PdfError:
             continue  # poison page: keep the rest of the document
 
-    # one ungrouped char-soup textbox per page → the engine runs the
-    # full layout analysis (char→word→line→textbox grouping)
-    chars_by_page: dict = {}
-    for ch in interp.chars:
-        chars_by_page.setdefault(ch.pop("page"), []).append(ch)
     textboxes = []
-    for page_no, chars in sorted(chars_by_page.items()):
+    tab, cuts = _glyph_table(interp)
+    for page_no, lo, hi in cuts:
         w, h = page_dims.get(page_no, (612.0, 792.0))
         textboxes.append(
             {
-                "page": int(page_no),
+                "page": page_no,
                 "x0": 0.0,
                 "y0": 0.0,
                 "x1": w,
@@ -440,7 +470,7 @@ def decode_pdf_document(doc_id: str, data: bytes,
                 # the shuffled sidecar): enables pdfminer's stream-order
                 # line building, which keeps columns apart
                 "stream_ordered": True,
-                "chars": chars,
+                "chartab": (tab, lo, hi),
             }
         )
 

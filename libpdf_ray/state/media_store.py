@@ -161,7 +161,7 @@ class VectorCropWriter:
         import pandas as pd  # noqa: F811 - worker-side import
 
         from ..kernels.document import extract_document_full
-        from ..kernels.textmodel import tab_slice
+        from ..kernels.textmodel import glyph_table_from_dicts, tab_slice
         from ..stages.decoder import SidecarDecoder
 
         rows = SidecarDecoder().decode(batch)
@@ -186,17 +186,18 @@ class VectorCropWriter:
             words_by_page: dict = {}
             for tb in row.get("textboxes") or []:
                 page_words = words_by_page.setdefault(int(tb["page"]), [])
-                glyphs = tb.get("words") or tb.get("chars")
-                if glyphs:  # dict-list form (real-PDF decoder, unit rows)
-                    for g in glyphs:
-                        if g.get("x0") is None or g["x0"] != g["x0"]:
-                            continue  # pseudo-anno glyphs carry no box
+                if tb.get("words"):  # dict-list word rows (unit rows)
+                    for g in tb["words"]:
                         page_words.append(
                             (g["text"], float(g["x0"]), float(g["y0"]),
                              float(g["x1"]), float(g["y1"]))
                         )
                     continue
+                # glyph / word tables; a pseudo-anno glyph's NaN box is
+                # never inside a figure
                 wt = tab_slice(tb.get("wordtab") or tb.get("chartab"))
+                if wt is None and tb.get("chars"):
+                    wt = glyph_table_from_dicts(tb["chars"])
                 if wt is None:
                     continue
                 for i in range(len(wt["text"])):

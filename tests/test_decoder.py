@@ -103,3 +103,32 @@ def test_default_decoder_is_sidecar():
     assert parse_batch(batch, SMART_CROP_CONFIG).equals(
         parse_batch(batch, SMART_CROP_CONFIG, decoder=SidecarDecoder())
     )
+
+
+def test_style_masks_from_arrow_lengths():
+    """``_has_color`` / ``_has_font`` built from Arrow list and string
+    lengths equal the per-row Python predicates they replaced, on rows
+    whose color and font are null, empty and set."""
+    import numpy as np
+
+    from libpdf_ray.schema import WORD_STRUCT
+    from libpdf_ray.stages.decoder import _decode_word_runs
+
+    styles = [(None, None), ([], ""), ([0.0, 0.0, 1.0], "F1"),
+              (None, "F2"), ([1.0], None), ([], "F3"), ([0.5, 0.5], "")]
+    words = [
+        {"text": f"w{i}", "x0": float(i), "y0": 0.0, "x1": i + 1.0,
+         "y1": 10.0, "ncolor": c, "fontname": f}
+        for i, (c, f) in enumerate(styles)
+    ]
+    col = pa.array([words, None, words[:2]], pa.list_(WORD_STRUCT))
+    _, tab = _decode_word_runs(col)
+    want_color = np.fromiter((c is not None for c in tab["ncolor"]), bool)
+    want_font = np.fromiter((bool(f) for f in tab["fontname"]), bool)
+    assert tab["_has_color"].dtype == bool and tab["_has_font"].dtype == bool
+    assert tab["_has_color"].tolist() == want_color.tolist()
+    assert tab["_has_font"].tolist() == want_font.tolist()
+    assert tab["_has_color"].tolist() == [False, False, True, False, True,
+                                          False, True, False, False]
+    assert tab["_has_font"].tolist() == [False, False, True, True, False,
+                                         True, False, False, False]

@@ -18,6 +18,7 @@ from libpdf_ray.kernels.catalog import (
 from libpdf_ray.kernels.textmodel import (
     assemble_textbox_lines,
     hbox_from_lines,
+    line_word_dicts,
 )
 
 
@@ -63,13 +64,13 @@ class TestWordAssembly:
         tb = {"chars": list(reversed(chars))}
         lines = assemble_textbox_lines(tb)
         assert [ln["text"] for ln in lines] == ["ab cd"]
-        assert [w["text"] for w in lines[0]["words"]] == ["ab", "cd"]
+        assert [w["text"] for w in line_word_dicts(lines[0])] == ["ab", "cd"]
 
     def test_small_gap_does_not_split_word(self):
         # gap 0.5pt < word_margin(0.1) × width(6) = 0.6 → same word
         chars = [_char("a", 72, 600), _char("b", 78.5, 600)]
         lines = assemble_textbox_lines({"chars": chars})
-        assert [w["text"] for w in lines[0]["words"]] == ["ab"]
+        assert [w["text"] for w in line_word_dicts(lines[0])] == ["ab"]
 
     def test_explicit_space_char_splits(self):
         chars = [_char("a", 72, 600), _char(" ", 78, 600), _char("b", 84, 600)]
@@ -108,8 +109,9 @@ class TestStyleLifting:
             _char("c", 90, 600, ncolor=[0.0, 1.0, 0]),
         ]
         lines = assemble_textbox_lines({"chars": chars})
-        assert lines[0]["words"][0]["ncolor"] == (1.0, 0.0, 0.0)
-        assert lines[0]["words"][1]["ncolor"] == (0.0, 1.0, 0.0)
+        words = line_word_dicts(lines[0])
+        assert words[0]["ncolor"] == (1.0, 0.0, 0.0)
+        assert words[1]["ncolor"] == (0.0, 1.0, 0.0)
         assert lines[0]["ncolor"] is None
 
 
@@ -355,7 +357,7 @@ class TestPseudoAnnoCleanup:
     def test_pseudo_glyphs_deleted_array_path(self):
         import numpy as np
 
-        from libpdf_ray.kernels.textmodel import assemble_lines_from_arrays
+        from libpdf_ray.kernels.textmodel import assemble_glyph_lines
 
         nan = float("nan")
         wt = {
@@ -367,7 +369,7 @@ class TestPseudoAnnoCleanup:
             "ncolor": [None] * 4,
             "fontname": [None] * 4,
         }
-        lines = assemble_lines_from_arrays(wt, is_chars=True)
+        lines = assemble_glyph_lines(wt)
         assert [ln["text"] for ln in lines] == ["ab"]
 
     def test_real_space_char_with_geometry_survives(self):

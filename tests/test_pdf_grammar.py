@@ -31,6 +31,7 @@ from libpdf_ray.kernels.pdfobj import (
 )
 from libpdf_ray.kernels.pdftext import PageInterpreter
 from libpdf_ray.kernels.pdfwrite import write_pdf
+from libpdf_ray.kernels.textmodel import tab_slice
 from libpdf_ray.stages.pdf_decoder import decode_pdf_document
 
 
@@ -248,7 +249,7 @@ def test_direct_dict_page_tree_decodes():
     assert [p["obj_id"] for p in pages] == [-1, -1]
     doc = decode_pdf_document("direct", data)
     assert len(doc["pages"]) == 2
-    text = "".join(c["text"] for tb in doc["textboxes"] for c in tb["chars"])
+    text = "".join(t for tb in doc["textboxes"] for t in tab_slice(tb["chartab"])["text"])
     assert "Hello" in text and "Second" in text
 
 

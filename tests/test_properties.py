@@ -273,14 +273,16 @@ def test_cume_dist_histogram_lookup_matches_definition(values):
 )
 @settings(max_examples=200, deadline=None)
 def test_vectorized_chars_to_words_equals_loop(seed, n_chars, styled):
-    """Round-4: _words_from_char_arrays (vectorized) must be bit-identical
-    to the reference-shaped _chars_to_words/_make_word loop on random char
-    streams — random widths/gaps, explicit space chars, mixed styles."""
+    """The glyph-table kernel's words (vectorized) must be bit-identical
+    to the reference-shaped chars→words loop (the oracle kept in
+    tests/test_glyph_layout.py) on random one-line char streams — random
+    widths/gaps, explicit space chars, mixed styles."""
     import numpy as np
 
-    from libpdf_ray.kernels.textmodel import (_chars_to_words,
-                                              _norm_color,
-                                              _words_from_char_arrays)
+    from libpdf_ray.kernels.textmodel import (_norm_color,
+                                              assemble_glyph_lines,
+                                              line_word_dicts)
+    from tests.test_glyph_layout import chars_to_words
 
     rng = np.random.default_rng(seed)
     glyphs = list("abcdefg") + [" "]
@@ -310,16 +312,14 @@ def test_vectorized_chars_to_words_equals_loop(seed, n_chars, styled):
         "ncolor": np.array(ncolor, dtype=object),
         "fontname": np.array(font, dtype=object),
     }
-    idx = np.arange(n, dtype=np.int64)  # already x-sorted by construction
-    ws_all = np.fromiter((t.strip() == "" for t in texts), bool, n)
-    hc_all = np.array([c is not None for c in ncolor])
-    hf_all = np.array([bool(f) for f in font])
-    got = _words_from_char_arrays(wt, idx, 0.1, ws_all, hc_all, hf_all)
+    # one baseline, x-sorted by construction: the kernel sees one line
+    got = [w for ln in assemble_glyph_lines(wt, 0.5, 0.1)
+           for w in line_word_dicts(ln)]
 
     chars = [
         {"text": texts[i], "x0": x0s[i], "y0": 0.0, "x1": x1s[i],
          "y1": 10.0, "ncolor": _norm_color(ncolor[i]), "fontname": font[i]}
         for i in range(n)
     ]
-    want = _chars_to_words(chars, 0.1)
+    want = chars_to_words(chars, 0.1)
     assert got == want
