@@ -72,16 +72,14 @@ from .regions import (
     word_crop_text,
 )
 from .textmodel import (
-    assemble_glyph_lines,
     assemble_textbox_lines,
-    assemble_word_boxes_batched,
-    assemble_word_boxes_shared,
+    assemble_word_lines,
     group_lines_into_boxes_la,
-    tab_slice,
     group_lines_into_boxes,
     is_whitespace_only,
     textbox_text,
     textbox_word_dicts,
+    word_box_table,
 )
 
 
@@ -128,23 +126,11 @@ def numbered_outline(doc: dict, cfg: PipelineConfig) -> list:
 
 def textbox_lines(tb: dict, cfg: PipelineConfig) -> list:
     """One raw textbox → its assembled line dicts: line grouping +
-    word-margin word assembly + style lifting (utils.py:467-631).
-
-    Glyph tables (``chartab``, from either decoder) take the array layout
-    kernel; word tables the batched word kernel; dict-backed boxes (unit
-    tests, direct rows) :func:`assemble_textbox_lines`.  An ungrouped soup
-    gets pdfminer's ``char_margin`` column rule; grouped boxes never do
-    (their extent IS the line extent)."""
+    word-margin word assembly + style lifting (utils.py:467-631), through
+    :func:`assemble_textbox_lines`.  An ungrouped soup gets pdfminer's
+    ``char_margin`` column rule; grouped boxes never do (their extent IS
+    the line extent)."""
     char_margin = cfg.char_margin if tb.get("ungrouped") else 0.0
-    if tb.get("chartab") is not None:
-        return assemble_glyph_lines(
-            tab_slice(tb["chartab"]), cfg.line_y_tolerance, cfg.word_margin,
-            char_margin, bool(tb.get("stream_ordered")),
-        )
-    if tb.get("wordtab") is not None:
-        return assemble_word_boxes_batched(
-            [tab_slice(tb["wordtab"])], cfg.line_y_tolerance
-        )[0]
     return assemble_textbox_lines(
         tb, cfg.line_y_tolerance, cfg.word_margin, char_margin
     )
@@ -172,6 +158,7 @@ def prepare_pages(
     )
     textboxes_by_page: dict = {}
     kept_boxes: list = []
+    word_boxes: list = []
     for tb in doc.get("textboxes") or []:
         t = dict(tb)
         t["page"] = int(t["page"])
@@ -192,31 +179,19 @@ def prepare_pages(
                 and t["y1"] <= float(page["height"]) - crop_top
             ):
                 continue
-        # the raw-layout step (see textbox_lines).  Word-array boxes (the
-        # overwhelmingly common form) defer to ONE batched numpy pass over
-        # the whole document below — same lines as textbox_lines.
-        if t.get("chartab") is not None or t.get("wordtab") is None:
+        # the raw-layout step (see textbox_lines): glyph soups box by box,
+        # every word box of the document in ONE word-kernel call below
+        if t.get("chartab") is not None or t.get("chars"):
             t["lines"] = textbox_lines(t, cfg)
+        else:
+            word_boxes.append(t)
         kept_boxes.append(t)
 
-    word_boxes = [t for t in kept_boxes if "lines" not in t]
     if word_boxes:
-        tabs = [t["wordtab"] for t in word_boxes]
-        # parse-stage decode hands (shared_table, lo, hi) views over ONE
-        # flat table per batch → the shared-gather kernel (no per-box
-        # slicing/concat); mixed or dict-form tabs take the batched twin
-        if all(isinstance(tb, tuple) for tb in tabs) and len(
-            {id(tb[0]) for tb in tabs}
-        ) == 1:
-            assembled = assemble_word_boxes_shared(
-                tabs[0][0], [(tb[1], tb[2]) for tb in tabs],
-                cfg.line_y_tolerance,
-            )
-        else:
-            assembled = assemble_word_boxes_batched(
-                [tab_slice(tb) for tb in tabs], cfg.line_y_tolerance
-            )
-        for t, lines in zip(word_boxes, assembled):
+        tab, rows, counts = word_box_table(word_boxes)
+        for t, lines in zip(
+            word_boxes, assemble_word_lines(tab, rows, counts, cfg.line_y_tolerance)
+        ):
             t["lines"] = lines
 
     for t in kept_boxes:
@@ -361,7 +336,6 @@ def prepare_pages(
                 w
                 for tb in textboxes_by_page.get(page_no, [])
                 for w in textbox_word_dicts(tb)
-                if "x0" in w
             ]
             for grid in detect_table_grids(
                 page_segs,

@@ -51,8 +51,6 @@ def _char_centers_from_lines(lines: list) -> list:
         pos = offset
         words = line_word_dicts(line)
         for k, w in enumerate(words):
-            if "x0" not in w:
-                return []  # no geometry (legacy line structs)
             n = max(len(w["text"]), 1)
             pitch = (w["x1"] - w["x0"]) / n
             cy = (w["y0"] + w["y1"]) / 2.0

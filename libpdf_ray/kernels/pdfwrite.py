@@ -137,29 +137,9 @@ def _iter_words(tb: dict):
     if chars:
         yield from chars
         return
-    tab = tb.get("wordtab") or tb.get("chartab")
-    if tab is None:
-        for line in tb.get("lines") or []:
-            # legacy per-line structs: synthesize evenly-spaced words
-            txt = line.get("text", "")
-            lw = [w for w in txt.split(" ") if w]
-            if not lw:
-                continue
-            x0, x1 = float(tb["x0"]), float(tb["x1"])
-            y1 = float(line.get("y1", tb["y1"]))
-            y0 = float(line.get("y0", y1 - 10.0))
-            total = sum(len(w) for w in lw) + len(lw) - 1
-            cx = x0
-            unit = (x1 - x0) / max(total, 1)
-            for w in lw:
-                wid = unit * len(w)
-                yield {"text": w, "x0": cx, "y0": y0, "x1": cx + wid,
-                       "y1": y1, "ncolor": line.get("ncolor")}
-                cx += wid + unit
-        return
     from .textmodel import tab_slice
 
-    t = tab_slice(tab)
+    t = tab_slice(tb.get("wordtab") or tb.get("chartab"))
     if t is None:
         return
     for i in range(len(t["text"])):

@@ -97,6 +97,24 @@ def boxes_completely_inside(textboxes: list, bbox: tuple, margin: float = 0.0) -
     ]
 
 
+def _crop_words(words: list, boxes: list, margin: float) -> tuple:
+    """Word dicts + crop boxes ``(x0, y0, x1, y1)`` → ``(table, rows,
+    counts)`` for :func:`textmodel.assemble_word_lines`: per box, the
+    words lying completely inside it ± ``margin``; a word may lie in
+    several boxes."""
+    import numpy as np
+
+    from .textmodel import glyph_table_from_dicts
+
+    tab = glyph_table_from_dicts(words)
+    b = np.asarray(boxes, dtype=np.float64).reshape(-1, 4)
+    inside = (
+        (tab["x0"] >= b[:, 0:1] - margin) & (tab["y0"] >= b[:, 1:2] - margin)
+        & (tab["x1"] <= b[:, 2:3] + margin) & (tab["y1"] <= b[:, 3:4] + margin)
+    )
+    return tab, np.nonzero(inside)[1], inside.sum(axis=1)
+
+
 def word_crop_text(textboxes: list, bbox: tuple, margin: float = 0.0,
                    y_tolerance: float = 0.5) -> str:
     """Text of the WORDS completely inside ``bbox`` ± margin, re-clustered
@@ -106,23 +124,18 @@ def word_crop_text(textboxes: list, bbox: tuple, margin: float = 0.0,
     rects sit INSIDE a paragraph line; only word granularity finds their
     text — reference behavior pinned by tests/test_rects.py
     code-inline assertions)."""
-    from .textmodel import _cluster_into_lines, textbox_word_dicts
+    from .textmodel import assemble_word_lines, textbox_word_dicts
 
     x0, y0, x1, y1 = bbox
-    inside = []
-    for tb in textboxes:
-        if (tb["x1"] < x0 - margin or tb["x0"] > x1 + margin
-                or tb["y1"] < y0 - margin or tb["y0"] > y1 + margin):
-            continue
-        for w in textbox_word_dicts(tb):
-            if (w.get("x0") is not None
-                    and w["x0"] >= x0 - margin and w["y0"] >= y0 - margin
-                    and w["x1"] <= x1 + margin and w["y1"] <= y1 + margin):
-                inside.append(w)
-    if not inside:
-        return ""
-    lines = _cluster_into_lines(inside, y_tolerance)
-    return "\n".join(" ".join(w["text"] for w in ln) for ln in lines)
+    words = [
+        w
+        for tb in textboxes
+        if not (tb["x1"] < x0 - margin or tb["x0"] > x1 + margin
+                or tb["y1"] < y0 - margin or tb["y0"] > y1 + margin)
+        for w in textbox_word_dicts(tb)
+    ]
+    lines = assemble_word_lines(*_crop_words(words, [bbox], margin), y_tolerance)[0]
+    return "\n".join(ln["text"] for ln in lines)
 
 
 def table_inside_any_figure(
@@ -407,24 +420,16 @@ def table_from_grid(grid: dict, page_words: list, cfg) -> dict:
     engine's line grouping).  Span text = rows joined with '\\n', cell slots
     with '\\t'; merged/swallowed slots keep their empty slot (SURVEY span
     conventions)."""
-    from .textmodel import _cluster_into_lines, _line_from_words
+    from .textmodel import assemble_word_lines
 
-    offset = cfg.rect_text_offset  # the reference's cell crop offset (=5)
+    cells = grid["cells"]
+    crop = _crop_words(
+        page_words, [(c["x0"], c["y0"], c["x1"], c["y1"]) for c in cells],
+        cfg.rect_text_offset,  # the reference's cell crop offset (=5)
+    )
     texts: dict = {}
     cells_out = []
-    for cell in grid["cells"]:
-        inside = [
-            w
-            for w in page_words
-            if w["x0"] >= cell["x0"] - offset
-            and w["y0"] >= cell["y0"] - offset
-            and w["x1"] <= cell["x1"] + offset
-            and w["y1"] <= cell["y1"] + offset
-        ]
-        lines = [
-            _line_from_words(g)
-            for g in _cluster_into_lines(inside, cfg.line_y_tolerance)
-        ]
+    for cell, lines in zip(cells, assemble_word_lines(*crop, cfg.line_y_tolerance)):
         text = "\n".join(ln["text"] for ln in lines)
         texts[(cell["row"], cell["col"])] = text
         # bbox of the cropped words — the cell's "lt_textbox" for link
@@ -432,12 +437,12 @@ def table_from_grid(grid: dict, page_words: list, cfg) -> dict:
         # not on the cell rectangle)
         tb_bbox = (
             (
-                min(w["x0"] for w in inside),
-                min(w["y0"] for w in inside),
-                max(w["x1"] for w in inside),
-                max(w["y1"] for w in inside),
+                min(ln["x0"] for ln in lines),
+                min(ln["y0"] for ln in lines),
+                max(ln["x1"] for ln in lines),
+                max(ln["y1"] for ln in lines),
             )
-            if inside
+            if lines
             else None
         )
         cells_out.append(

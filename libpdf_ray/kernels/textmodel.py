@@ -44,51 +44,6 @@ def _norm_color(ncolor):
     return t if t else None
 
 
-def _cluster_into_lines(items: list, y_tolerance: float) -> list:
-    """Group word runs into lines by vertical center.
-
-    ``items`` arrive in arbitrary order (the sidecar shuffles them); they are
-    first brought into layout order (top→bottom, left→right), then folded
-    with the reference's running-last-center rule (utils.py:614-629): the
-    reference passes line_overlap=0.5 POINTS as textbox_crop's y_tolerance,
-    a quirk pinned by tests (centers 0.6 pt apart must split).
-    Each returned line is sorted by x0."""
-    if not items:
-        return []
-    ordered = sorted(
-        items, key=lambda it: (-(it["y0"] + it["y1"]) / 2.0, it["x0"])
-    )
-    lines = [[ordered[0]]]
-    last_yc = (ordered[0]["y0"] + ordered[0]["y1"]) / 2.0
-    for it in ordered[1:]:
-        yc = (it["y0"] + it["y1"]) / 2.0
-        if abs(yc - last_yc) < y_tolerance:
-            lines[-1].append(it)
-        else:
-            lines.append([it])
-        last_yc = yc
-    for line in lines:
-        line.sort(key=lambda it: it["x0"])
-    return lines
-
-
-def _line_from_words(words: list) -> dict:
-    """x-sorted word dicts → line dict with lifted attributes (+ bbox when
-    the words carry geometry — needed by textbox grouping)."""
-    line = {
-        "text": " ".join(w["text"] for w in words),
-        "ncolor": _uniform(w["ncolor"] for w in words),
-        "fontname": _uniform(w["fontname"] for w in words),
-        "words": words,
-    }
-    if words and "x0" in words[0]:
-        line["x0"] = min(w["x0"] for w in words)
-        line["y0"] = min(w["y0"] for w in words)
-        line["x1"] = max(w["x1"] for w in words)
-        line["y1"] = max(w["y1"] for w in words)
-    return line
-
-
 def _object_array(values):
     import numpy as np
 
@@ -98,11 +53,12 @@ def _object_array(values):
 
 
 def glyph_table_from_dicts(chars: list) -> dict:
-    """Per-glyph dicts (fixture rows, unit tests) → the glyph table the
-    decoders hand the layout kernel: ``text``, ``x0..y1`` float arrays,
-    normalized ``ncolor`` / ``fontname`` object arrays and the
-    ``_has_color`` / ``_has_font`` masks.  A missing coordinate becomes
-    NaN, which is how a pseudo-anno glyph says "no geometry"."""
+    """Per-glyph or per-word dicts (fixture rows, the decoder's
+    ``to_pylist`` fallback, unit tests) → the table the decoders hand the
+    layout kernels: ``text``, ``x0..y1`` float arrays, normalized
+    ``ncolor`` / ``fontname`` object arrays and the ``_has_color`` /
+    ``_has_font`` masks.  A missing coordinate becomes NaN, which is how a
+    pseudo-anno glyph says "no geometry"."""
     import numpy as np
 
     nan = float("nan")
@@ -118,26 +74,26 @@ def glyph_table_from_dicts(chars: list) -> dict:
     return tab
 
 
-def _style_codes(tab: dict, key: str) -> tuple:
-    """(per-glyph style id, per-glyph normalized value) for the ``ncolor``
-    or ``fontname`` column; id 0 is "no style" (None).  Two glyphs share an
+def _style_codes(tab: dict, key: str, rows) -> tuple:
+    """(style id, normalized value) of each of ``rows`` for the ``ncolor``
+    or ``fontname`` column; id 0 is "no style" (None).  Two rows share an
     id iff ``_uniform`` would call their values equal, so a run is uniform
     iff its min id equals its max id.  The PDF decoder interns ids per
-    document (``_color_id`` / ``_font_id``); other tables intern their
-    styled rows here."""
+    document (``_color_id`` / ``_font_id``); other tables intern the
+    styled ones of ``rows`` here, and never touch the rest."""
     import numpy as np
 
-    vals = tab[key]
+    vals = tab[key][rows]
     ids = tab.get("_color_id" if key == "ncolor" else "_font_id")
     if ids is not None:
-        return ids, vals
+        return ids[rows], vals
     has = tab.get("_has_color" if key == "ncolor" else "_has_font")
     norm = _norm_color if key == "ncolor" else (lambda f: f or None)
     ids = np.zeros(len(vals), dtype=np.int64)
     out = np.full(len(vals), None, dtype=object)
     seen: dict = {}
-    rows = range(len(vals)) if has is None else np.flatnonzero(has).tolist()
-    for i in rows:
+    styled = range(len(vals)) if has is None else np.flatnonzero(has[rows]).tolist()
+    for i in styled:
         v = norm(vals[i])
         if v is not None:
             ids[i] = seen.setdefault(v, len(seen) + 1)
@@ -193,8 +149,8 @@ def assemble_glyph_lines(
     import numpy as np
 
     text = _object_array(tab["text"])
-    cids, cvals = _style_codes(tab, "ncolor")
-    fids, fvals = _style_codes(tab, "fontname")
+    cids, cvals = _style_codes(tab, "ncolor", slice(None))
+    fids, fvals = _style_codes(tab, "fontname", slice(None))
     x0, y0, x1, y1 = (tab[k] for k in ("x0", "y0", "x1", "y1"))
     drop = [
         i for i in np.flatnonzero(np.isnan(x0)).tolist() if text[i] in (" ", "\n")
@@ -274,36 +230,111 @@ def assemble_glyph_lines(
 
     wline = (np.cumsum(newline) - 1)[kept[wstart]]
     lstart = np.flatnonzero(np.concatenate(([True], wline[1:] != wline[:-1])))
-    lbounds = np.append(lstart, nw).tolist()
-    lx0 = np.minimum.reduceat(wx0, lstart).tolist()
-    ly0 = np.minimum.reduceat(wy0, lstart).tolist()
-    lx1 = np.maximum.reduceat(wx1, lstart).tolist()
-    ly1 = np.maximum.reduceat(wy1, lstart).tolist()
-    lcolor = _segment_style(wc, wcolor, lstart)[1].tolist()
-    lfont = _segment_style(wf, wfont, lstart)[1].tolist()
     wt = {
         "text": _object_array(wtext),
         "x0": wx0, "y0": wy0, "x1": wx1, "y1": wy1,
-        "ncolor": wcolor, "fontname": wfont,
+        "ncolor": wcolor, "fontname": wfont, "_color_id": wc, "_font_id": wf,
     }
-    idx = np.arange(nw, dtype=np.int64)
-    lines = []
-    for li in range(len(lstart)):
-        a, b = lbounds[li], lbounds[li + 1]
-        lines.append(
-            {
-                "text": " ".join(wtext[a:b]),
-                "ncolor": lcolor[li],
-                "fontname": lfont[li],
-                "x0": lx0[li],
-                "y0": ly0[li],
-                "x1": lx1[li],
-                "y1": ly1[li],
-                "_wt": wt,
-                "_idx": idx[a:b],
-            }
-        )
-    return lines
+    return _build_lines(wt, np.arange(nw, dtype=np.int64), lstart)
+
+
+def _build_lines(wt: dict, rows, starts) -> list:
+    """The line builder both layout kernels end in: word-table ``rows``
+    in final order (line after line, x-sorted within each line) and the
+    position where each line starts → line dicts.  Bboxes fold with
+    ``reduceat``; ``ncolor`` / ``fontname`` lift only when uniform,
+    through :func:`_style_codes` over ``rows`` alone (a batch table's
+    other rows are never read).  Lines stay lazy: ``_wt``/``_idx``
+    address the word table (see :func:`line_word_dicts`)."""
+    import numpy as np
+
+    x0, y0 = (np.minimum.reduceat(wt[k][rows], starts).tolist() for k in ("x0", "y0"))
+    x1, y1 = (np.maximum.reduceat(wt[k][rows], starts).tolist() for k in ("x1", "y1"))
+    color = _segment_style(*_style_codes(wt, "ncolor", rows), starts)[1].tolist()
+    font = _segment_style(*_style_codes(wt, "fontname", rows), starts)[1].tolist()
+    text = wt["text"][rows].tolist()
+    bounds = np.append(starts, len(rows)).tolist()
+    return [
+        {
+            "text": " ".join(text[a:b]),
+            "ncolor": color[i],
+            "fontname": font[i],
+            "x0": x0[i],
+            "y0": y0[i],
+            "x1": x1[i],
+            "y1": y1[i],
+            "_wt": wt,
+            "_idx": rows[a:b],
+        }
+        for i, (a, b) in enumerate(zip(bounds, bounds[1:]))
+    ]
+
+
+def assemble_word_lines(tab: dict, rows, counts, y_tolerance: float = 0.5) -> list:
+    """Word table → assembled line dicts for each of several boxes, all
+    boxes in one pass of array ops; returns one top-to-bottom line list
+    per box.
+
+    ``rows`` lists, box after box, the table rows in each box and
+    ``counts`` how many each box has; a row may sit in several boxes (a
+    word inside two table cells' crops).  Within a box, words sort by
+    (−y-center, x0), stably, and a word joins the previous one's line
+    when the centers are less than ``y_tolerance`` apart — the reference's
+    running-center rule (utils.py:614-629), which it calls with
+    line_overlap=0.5 *points*, a quirk pinned by tests (centers 0.6 pt
+    apart split).  Each line then sorts by x0, stably.  A word with a
+    missing (NaN) coordinate is malformed input and raises ``ValueError``.
+    """
+    import numpy as np
+
+    counts = np.asarray(counts, dtype=np.int64)
+    rows = np.asarray(rows, dtype=np.int64)
+    out: list = [[] for _ in range(len(counts))]
+    if len(rows) == 0:
+        return out
+    x0, y0, x1, y1 = (tab[k][rows] for k in ("x0", "y0", "x1", "y1"))
+    if np.isnan([x0, y0, x1, y1]).any():
+        raise ValueError("word box with a missing coordinate")
+    box = np.repeat(np.arange(len(counts)), counts)
+    yc = (y0 + y1) / 2.0
+    order = np.lexsort((x0, -yc, box))
+    newline = np.ones(len(rows), dtype=bool)
+    newline[1:] = (np.diff(box[order]) != 0) | (np.abs(np.diff(yc[order])) >= y_tolerance)
+    order = order[np.lexsort((x0[order], np.cumsum(newline)))]
+    starts = np.flatnonzero(newline)
+    for b, line in zip(box[order[starts]].tolist(), _build_lines(tab, rows[order], starts)):
+        out[b].append(line)
+    return out
+
+
+def word_box_table(boxes: list) -> tuple:
+    """Word boxes → ``(table, rows, counts)`` for :func:`assemble_word_lines`:
+    ONE word table and each box's rows in it.  Decoded boxes carry
+    ``wordtab`` views ``(table, lo, hi)`` over their batch's flat table;
+    dict ``words`` (direct rows, the decoder's ``to_pylist`` fallback)
+    become one table through :func:`glyph_table_from_dicts`.  Boxes over
+    several tables (never produced by one decoder) get them concatenated."""
+    import numpy as np
+
+    loose = [w for tb in boxes if tb.get("wordtab") is None for w in tb.get("words") or []]
+    dict_tab = glyph_table_from_dicts(loose) if loose else None
+    views, lo = [], 0
+    for tb in boxes:
+        view = tb.get("wordtab")
+        if view is None:
+            n = len(tb.get("words") or [])
+            view, lo = (dict_tab, lo, lo + n), lo + n
+        views.append(view)
+    tables = list({id(t): t for t, a, b in views if b > a}.values())
+    base = np.cumsum([0] + [len(t["text"]) for t in tables]).tolist()
+    offset = {id(t): o for t, o in zip(tables, base)}
+    if len(tables) > 1:
+        tables = [{k: np.concatenate([t[k] for t in tables])
+                   for k in tables[0] if all(k in t for t in tables)}]
+    counts = np.array([b - a for _, a, b in views], dtype=np.int64)
+    first = np.array([offset.get(id(t), 0) + a for t, a, _ in views], dtype=np.int64)
+    rows = np.arange(counts.sum()) + np.repeat(first - np.cumsum(counts) + counts, counts)
+    return (tables[0] if tables else None), rows, counts
 
 
 def assemble_textbox_lines(
@@ -312,153 +343,20 @@ def assemble_textbox_lines(
     word_margin: float = 0.1,
     char_margin: float = 0.0,
 ) -> list:
-    """Raw sidecar textbox → assembled line dicts (the engine's layout
-    analysis step).
-
-    Accepts, in priority order: ``chars`` (rawest — char→word→line, through
-    :func:`glyph_table_from_dicts` and :func:`assemble_glyph_lines`), then
-    ``words`` (word→line), then pre-assembled ``lines`` (legacy corpora /
-    unit tests).  Returns ``[{"text", "ncolor", "fontname", ...}, …]``
-    top-to-bottom; read word dicts through :func:`line_word_dicts`."""
-    chars = textbox.get("chars")
-    if chars:
+    """Raw textbox → assembled line dicts, top-to-bottom (the engine's
+    layout analysis step).  Glyphs — a ``chartab`` view or ``chars``
+    dicts — take :func:`assemble_glyph_lines`; words — a ``wordtab`` view
+    or ``words`` dicts — take :func:`assemble_word_lines`.  Read word dicts
+    through :func:`line_word_dicts`."""
+    chars = textbox.get("chartab")
+    if chars is None and textbox.get("chars"):
+        chars = glyph_table_from_dicts(textbox["chars"])
+    if chars is not None:
         return assemble_glyph_lines(
-            glyph_table_from_dicts(chars), y_tolerance, word_margin,
-            char_margin, bool(textbox.get("stream_ordered")),
+            tab_slice(chars), y_tolerance, word_margin, char_margin,
+            bool(textbox.get("stream_ordered")),
         )
-    words = textbox.get("words")
-    if words:
-        norm = [
-            {
-                "text": w["text"],
-                "x0": float(w["x0"]),
-                "y0": float(w["y0"]),
-                "x1": float(w["x1"]),
-                "y1": float(w["y1"]),
-                "ncolor": _norm_color(w.get("ncolor")),
-                "fontname": w.get("fontname") or None,
-            }
-            for w in words
-        ]
-        return [_line_from_words(g) for g in _cluster_into_lines(norm, y_tolerance)]
-    return [
-        _legacy_line(line) for line in (textbox.get("lines") or [])
-    ]
-
-
-def _legacy_line(line: dict) -> dict:
-    """Round-1 per-line struct → line dict (words inherit the line style)."""
-    ncolor = _norm_color(line.get("ncolor"))
-    fontname = line.get("fontname") or None
-    words = [
-        {"text": w, "ncolor": ncolor, "fontname": fontname}
-        for w in line["text"].split(" ")
-        if w != ""
-    ]
-    return {
-        "text": " ".join(w["text"] for w in words),
-        "ncolor": _uniform(w["ncolor"] for w in words),
-        "fontname": _uniform(w["fontname"] for w in words),
-        "words": words,
-    }
-
-
-def assemble_word_boxes_batched(tabs: list, y_tolerance: float = 0.5) -> list:
-    """Batched word→line assembly for MANY word-backed textboxes of one
-    document — the same lines :func:`assemble_textbox_lines` builds from
-    each box's word dicts, but the geometric sorts run as ONE numpy pass over
-    the document's concatenated word table instead of ~15 small-array
-    kernel calls per box (per-box dispatch overhead was ~40% of parse-task
-    time on 100-page manuals).
-
-    ``tabs``: per-box word tables (``None``/empty allowed).  Returns one
-    assembled line list per input tab.
-
-    Ordering semantics, kept bit-identical to the dict route: the
-    grouping sort is ``lexsort((x0, −y_center, box))`` (stable), lines
-    break on box change or ``|Δ y-center| ≥ y_tolerance``, and within each
-    line rows re-sort stably by x0 — expressed here as a second global
-    ``lexsort((x0, line_id))``.
-    """
-    import numpy as np
-
-    nb = len(tabs)
-    counts = np.fromiter(
-        (len(t["text"]) if t else 0 for t in tabs), dtype=np.int64, count=nb
-    )
-    out: list = [[] for _ in range(nb)]
-    total = int(counts.sum())
-    if total == 0:
-        return out
-
-    live = [t for t in tabs if t and len(t["text"])]
-    x0 = np.concatenate([t["x0"] for t in live])
-    y0 = np.concatenate([t["y0"] for t in live])
-    x1 = np.concatenate([t["x1"] for t in live])
-    y1 = np.concatenate([t["y1"] for t in live])
-    if all(isinstance(t["text"], np.ndarray) for t in live):
-        # parse-stage decode hands object ndarrays: C-speed concatenation
-        texts = np.concatenate([t["text"] for t in live])
-        ncolors = np.concatenate([t["ncolor"] for t in live])
-        fonts = np.concatenate([t["fontname"] for t in live])
-    else:
-        texts, ncolors, fonts = [], [], []
-        for t in live:
-            texts.extend(t["text"])
-            ncolors.extend(t["ncolor"])
-            fonts.extend(t["fontname"])
-    box_id = np.repeat(np.arange(nb, dtype=np.int64), counts)
-
-    yc = (y0 + y1) / 2.0
-    ord1 = np.lexsort((x0, -yc, box_id))
-    b1 = box_id[ord1]
-    yc1 = yc[ord1]
-    newline = np.empty(total, dtype=bool)
-    newline[0] = True
-    newline[1:] = (b1[1:] != b1[:-1]) | (
-        np.abs(np.diff(yc1)) >= y_tolerance
-    )
-    line_id = np.cumsum(newline) - 1
-    ord2 = np.lexsort((x0[ord1], line_id))
-    fin = ord1[ord2]  # final row order: by line, then x0, stable
-
-    line_starts = np.nonzero(newline)[0]  # line_id[ord2] stays sorted
-    gx0 = x0[fin]
-    lx0 = np.minimum.reduceat(gx0, line_starts)
-    ly0 = np.minimum.reduceat(y0[fin], line_starts)
-    lx1 = np.maximum.reduceat(x1[fin], line_starts)
-    ly1 = np.maximum.reduceat(y1[fin], line_starts)
-    lbox = box_id[fin[line_starts]]
-    line_ends = np.r_[line_starts[1:], total]
-
-    wt_all = {
-        "text": texts, "ncolor": ncolors, "fontname": fonts,
-        "x0": x0, "y0": y0, "x1": x1, "y1": y1,
-    }
-    # unstyled documents (no word carries a color/font anywhere) skip the
-    # per-line uniform-or-None lift — it is None by construction
-    any_color = any(c is not None for c in ncolors)
-    any_font = any(f for f in fonts)
-    for li in range(len(line_starts)):
-        idx = fin[line_starts[li]:line_ends[li]]
-        out[int(lbox[li])].append(
-            {
-                "text": " ".join(texts[i] for i in idx),
-                "ncolor": _uniform(_norm_color(ncolors[i]) for i in idx)
-                if any_color
-                else None,
-                "fontname": _uniform(fonts[i] or None for i in idx)
-                if any_font
-                else None,
-                "x0": float(lx0[li]),
-                "y0": float(ly0[li]),
-                "x1": float(lx1[li]),
-                "y1": float(ly1[li]),
-                "_wt": wt_all,
-                "_idx": idx,
-            }
-        )
-    return out
+    return assemble_word_lines(*word_box_table([textbox]), y_tolerance)[0]
 
 
 def tab_slice(tab):
@@ -475,98 +373,6 @@ def tab_slice(tab):
     # the decoder's per-row "_has_color"/"_has_font" masks slice like any
     # other aligned column and keep the style-skip fast path alive
     return {k: v[lo:hi] for k, v in shared.items()}
-
-
-def assemble_word_boxes_shared(
-    shared: dict, bounds: list, y_tolerance: float = 0.5
-) -> list:
-    """Shared-table twin of :func:`assemble_word_boxes_batched`: the boxes
-    are (lo, hi) ranges into ONE flat word table, so there is no per-box
-    slicing and no re-concatenation — the gather indices are built with one
-    segmented arange, and the variable-width columns (text/ncolor/fontname)
-    are never copied at all (lines index the shared arrays directly).
-
-    Output-identical to slicing each box and running the batched twin
-    (pinned by ``tests/test_kernels.py``); measured round 4: the
-    slice→concat round-trip was ~25% of single-core parse time."""
-    import numpy as np
-
-    nb = len(bounds)
-    counts = np.fromiter((hi - lo for lo, hi in bounds), dtype=np.int64, count=nb)
-    out: list = [[] for _ in range(nb)]
-    total = int(counts.sum())
-    if total == 0:
-        return out
-
-    starts = np.fromiter((lo for lo, _ in bounds), dtype=np.int64, count=nb)
-    offs = np.concatenate(([0], np.cumsum(counts)[:-1]))
-    # segmented arange: global row index of every (box, k) pair
-    idxg = np.arange(total, dtype=np.int64) - np.repeat(offs, counts) + np.repeat(
-        starts, counts
-    )
-    box_id = np.repeat(np.arange(nb, dtype=np.int64), counts)
-
-    x0 = shared["x0"][idxg]
-    y0 = shared["y0"][idxg]
-    x1 = shared["x1"][idxg]
-    y1 = shared["y1"][idxg]
-    texts = shared["text"]
-    ncolors = shared["ncolor"]
-    fonts = shared["fontname"]
-
-    yc = (y0 + y1) / 2.0
-    ord1 = np.lexsort((x0, -yc, box_id))
-    b1 = box_id[ord1]
-    yc1 = yc[ord1]
-    newline = np.empty(total, dtype=bool)
-    newline[0] = True
-    newline[1:] = (b1[1:] != b1[:-1]) | (np.abs(np.diff(yc1)) >= y_tolerance)
-    line_id = np.cumsum(newline) - 1
-    ord2 = np.lexsort((x0[ord1], line_id))
-    fin = ord1[ord2]  # final LOCAL row order: by line, then x0, stable
-
-    line_starts = np.nonzero(newline)[0]  # line_id[ord2] stays sorted
-    lx0 = np.minimum.reduceat(x0[fin], line_starts)
-    ly0 = np.minimum.reduceat(y0[fin], line_starts)
-    lx1 = np.maximum.reduceat(x1[fin], line_starts)
-    ly1 = np.maximum.reduceat(y1[fin], line_starts)
-    lbox = box_id[fin[line_starts]]
-    line_ends = np.r_[line_starts[1:], total]
-    fin_g = idxg[fin]  # GLOBAL indices — lines address the shared table
-
-    # per-LINE style presence via one reduceat over the decoder's per-row
-    # flags: only lines that actually carry a styled row pay the
-    # uniform-or-None fold (a no-style line lifts to None by construction)
-    if "_has_color" in shared:
-        line_has_color = np.bitwise_or.reduceat(
-            shared["_has_color"][fin_g], line_starts
-        )
-        line_has_font = np.bitwise_or.reduceat(
-            shared["_has_font"][fin_g], line_starts
-        )
-    else:
-        ones = np.ones(len(line_starts), dtype=bool)
-        line_has_color = line_has_font = ones
-    for li in range(len(line_starts)):
-        idx = fin_g[line_starts[li]:line_ends[li]]
-        out[int(lbox[li])].append(
-            {
-                "text": " ".join(texts[idx].tolist()),
-                "ncolor": _uniform(_norm_color(ncolors[i]) for i in idx)
-                if line_has_color[li]
-                else None,
-                "fontname": _uniform(fonts[i] or None for i in idx)
-                if line_has_font[li]
-                else None,
-                "x0": float(lx0[li]),
-                "y0": float(ly0[li]),
-                "x1": float(lx1[li]),
-                "y1": float(ly1[li]),
-                "_wt": shared,
-                "_idx": idx,
-            }
-        )
-    return out
 
 
 def line_word_dicts(line: dict) -> list:
@@ -695,13 +501,6 @@ def hbox_from_lines(lines: list) -> dict:
         "fontname": _uniform(ln["fontname"] for ln in lines),
         "lines": lines,
     }
-
-
-def assemble_hbox(lines: list) -> dict:
-    """Legacy adapter: per-line raw structs → HorizontalBox model (kept for
-    round-1 corpora and unit tests; new code path is
-    :func:`assemble_textbox_lines` + :func:`hbox_from_lines`)."""
-    return hbox_from_lines([_legacy_line(line) for line in lines])
 
 
 def textbox_text(textbox: dict) -> str:

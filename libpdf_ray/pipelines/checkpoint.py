@@ -25,6 +25,7 @@ import os
 import time
 
 from ..config import PipelineConfig
+from ..ops.util import list_files
 from .extract import extract_spans_fused
 
 
@@ -66,8 +67,10 @@ def write_manifest(out_dir: str, manifest: dict) -> None:
 
 
 def plan_partitions(input_dir: str, files_per_partition: int = 1) -> list:
-    """Input shards → partition plan: [(part_id, [files...]), ...]."""
-    files = sorted(glob.glob(os.path.join(input_dir, "part-*.parquet")))
+    """Input shards → partition plan: [(part_id, [files...]), ...]; the
+    shards are listed like every sidecar reader lists them
+    (:func:`ops.util.list_files`: recursive, sorted)."""
+    files = list_files(input_dir, (".parquet",))
     plan = []
     for i in range(0, len(files), files_per_partition):
         chunk = files[i : i + files_per_partition]

@@ -24,6 +24,7 @@ from __future__ import annotations
 import ray.data
 
 from ..config import PipelineConfig
+from ..ops.util import list_files
 from ..stages.parse import explode_spans, parse_batch
 
 #: columns the parser actually consumes — read_parquet prunes the rest
@@ -46,25 +47,18 @@ PARSE_COLUMNS = [
 def read_corpus(paths, columns=PARSE_COLUMNS, **kwargs) -> "ray.data.Dataset":
     """Read the sidecar corpus with column pruning at the read.
 
-    Optional sidecar columns (rects, figures, raw_annots, …) may be
-    absent in lean corpora; the projection intersects with the actual file
+    The parquet files are listed the way every sidecar reader lists them
+    (:func:`ops.util.list_files`: directories walked recursively).
+    Optional sidecar columns (rects, figures, raw_annots, …) may be absent
+    in lean corpora; the projection intersects with the first file's
     schema so such corpora parse with the matching stages as no-ops."""
+    files = list_files(paths, (".parquet",))
     if columns:
-        import glob as _glob
-        import os as _os
-
         import pyarrow.parquet as _pq
 
-        probe = paths
-        if isinstance(paths, (list, tuple)):
-            probe = paths[0]
-        if _os.path.isdir(probe):
-            files = sorted(_glob.glob(_os.path.join(probe, "*.parquet")))
-            probe = files[0] if files else None
-        if probe and _os.path.isfile(probe):
-            available = set(_pq.ParquetFile(probe).schema_arrow.names)
-            columns = [c for c in columns if c in available]
-    return ray.data.read_parquet(paths, columns=columns, **kwargs)
+        available = set(_pq.ParquetFile(files[0]).schema_arrow.names)
+        columns = [c for c in columns if c in available]
+    return ray.data.read_parquet(files, columns=columns, **kwargs)
 
 
 def extract_spans(
@@ -92,19 +86,9 @@ def spans_table(ds: "ray.data.Dataset") -> "ray.data.Dataset":
 def list_fragments(paths) -> list:
     """Parquet (file, row-group) fragment descriptors — the work units of
     the fused read+parse path."""
-    import glob as _glob
-    import os as _os
-
     import pyarrow.parquet as _pq
 
-    if isinstance(paths, str):
-        paths = [paths]
-    files = []
-    for p in paths:
-        if _os.path.isdir(p):
-            files.extend(sorted(_glob.glob(_os.path.join(p, "*.parquet"))))
-        else:
-            files.append(p)
+    files = list_files(paths, (".parquet",))
     items = []
     for f in files:
         md = _pq.ParquetFile(f).metadata

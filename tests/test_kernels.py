@@ -26,7 +26,12 @@ from libpdf_ray.kernels.regions import (
     filter_figures,
     table_from_grid,
 )
-from libpdf_ray.kernels.textmodel import assemble_hbox, textbox_text
+from libpdf_ray.kernels.textmodel import (
+    assemble_textbox_lines,
+    hbox_from_lines,
+    line_word_dicts,
+    textbox_text,
+)
 
 
 class TestChapterNumberRegex:
@@ -137,32 +142,47 @@ class TestFigureFilter:
         assert len(kept) == 1 and kept[0]["x0"] == 0
 
 
+def _word_hbox(lines: list) -> dict:
+    """Line specs ``[(word texts, ncolor, fontname), ...]`` → word dicts
+    laid out top-down at a 6 pt pitch, handed over bottom-up, then
+    assembled into the HorizontalBox model."""
+    words = []
+    for k, (texts, ncolor, fontname) in enumerate(lines):
+        x, y1 = 72.0, 700.0 - 14.0 * k
+        for t in texts:
+            words.append({"text": t, "x0": x, "y0": y1 - 12.0,
+                          "x1": x + 6.0 * len(t), "y1": y1,
+                          "ncolor": ncolor, "fontname": fontname})
+            x += 6.0 * (len(t) + 1)
+    return hbox_from_lines(assemble_textbox_lines({"words": words[::-1]}))
+
+
 class TestTextModel:
     def test_join_conventions(self):
-        hbox = assemble_hbox(
+        hbox = _word_hbox(
             [
-                {"text": "hello world", "ncolor": [0, 0, 0], "fontname": "F1"},
-                {"text": "second line", "ncolor": [0, 0, 0], "fontname": "F1"},
+                (["hello", "world"], [0, 0, 0], "F1"),
+                (["second", "line"], [0, 0, 0], "F1"),
             ]
         )
         assert hbox["text"] == "hello world\nsecond line"
-        assert hbox["lines"][0]["words"][1]["text"] == "world"
+        assert line_word_dicts(hbox["lines"][0])[1]["text"] == "world"
 
     def test_color_lifting_uniform(self):
-        hbox = assemble_hbox(
+        hbox = _word_hbox(
             [
-                {"text": "a b", "ncolor": [1.0, 0, 0], "fontname": "F1"},
-                {"text": "c", "ncolor": [1.0, 0, 0], "fontname": "F2"},
+                (["a", "b"], [1.0, 0, 0], "F1"),
+                (["c"], [1.0, 0, 0], "F2"),
             ]
         )
         assert hbox["ncolor"] == (1.0, 0.0, 0.0)
         assert hbox["fontname"] is None  # mixed fonts do not lift
 
     def test_color_lifting_mixed(self):
-        hbox = assemble_hbox(
+        hbox = _word_hbox(
             [
-                {"text": "a", "ncolor": [1.0, 0, 0], "fontname": "F1"},
-                {"text": "b", "ncolor": [0.0, 1.0, 0], "fontname": "F1"},
+                (["a"], [1.0, 0, 0], "F1"),
+                (["b"], [0.0, 1.0, 0], "F1"),
             ]
         )
         assert hbox["ncolor"] is None
@@ -379,9 +399,9 @@ class TestExamEqualShortcut:
 
 
 class TestSharedTableAssembly:
-    """assemble_word_boxes_shared (round-4: gather over ONE flat table)
-    must be output-identical to slicing each box and running the batched
-    twin — including styled words and multi-line boxes."""
+    """assemble_word_lines over ONE flat table: one call for every box
+    must give what a call per box gives — including styled words and
+    multi-line boxes."""
 
     def _shared_table(self):
         import numpy as np
@@ -419,20 +439,13 @@ class TestSharedTableAssembly:
                         if k not in ("_wt", "_idx", "words")})
         return out
 
-    def test_shared_equals_batched(self):
-        from libpdf_ray.kernels.textmodel import (
-            assemble_word_boxes_batched,
-            assemble_word_boxes_shared,
-            tab_slice,
-        )
+    def test_one_call_equals_per_box_calls(self):
+        from libpdf_ray.kernels.textmodel import assemble_word_lines, word_box_table
 
         shared, bounds = self._shared_table()
-        got = assemble_word_boxes_shared(shared, bounds)
-        tabs = [
-            tab_slice((shared, lo, hi)) if hi > lo else None
-            for lo, hi in bounds
-        ]
-        want = assemble_word_boxes_batched(tabs)
+        boxes = [{"wordtab": (shared, lo, hi)} for lo, hi in bounds]
+        got = assemble_word_lines(*word_box_table(boxes))
+        want = [assemble_textbox_lines(tb) for tb in boxes]
         assert [self._strip_wt(b) for b in got] == [
             self._strip_wt(b) for b in want
         ]
@@ -445,13 +458,12 @@ class TestSharedTableAssembly:
         assert [ln["text"] for ln in got[0]] == ["alpha beta", "gamma delta"]
 
     def test_lazy_word_dicts_from_shared(self):
-        from libpdf_ray.kernels.textmodel import (
-            assemble_word_boxes_shared,
-            line_word_dicts,
-        )
+        from libpdf_ray.kernels.textmodel import assemble_word_lines, word_box_table
 
         shared, bounds = self._shared_table()
-        lines = assemble_word_boxes_shared(shared, bounds)
+        lines = assemble_word_lines(
+            *word_box_table([{"wordtab": (shared, lo, hi)} for lo, hi in bounds])
+        )
         words = line_word_dicts(lines[1][0])
         assert [w["text"] for w in words] == ["RED", "WORD"]
         assert words[0]["ncolor"] == (1.0, 0.0, 0.0)

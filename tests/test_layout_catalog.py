@@ -89,8 +89,8 @@ class TestStyleLifting:
         lines = assemble_textbox_lines(tb)
         assert lines[0]["ncolor"] is None  # mixed → no lift
         assert lines[0]["fontname"] == "F1"  # uniform → lifts
-        assert lines[0]["words"][0]["ncolor"] == (1.0, 0.0, 0.0)
-        assert lines[0]["words"][1]["ncolor"] == (0.0, 0.0, 0.0)
+        assert line_word_dicts(lines[0])[0]["ncolor"] == (1.0, 0.0, 0.0)
+        assert line_word_dicts(lines[0])[1]["ncolor"] == (0.0, 0.0, 0.0)
 
     def test_box_level_lift(self):
         tb = {

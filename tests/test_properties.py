@@ -70,24 +70,35 @@ def test_page_range_is_monotone(doc_index, hi):
 @settings(max_examples=20, deadline=None)
 @given(
     lines=st.lists(
-        st.text(
-            alphabet=st.characters(whitelist_categories=("Lu", "Ll", "Nd"), max_codepoint=0x7F),
-            max_size=30,
+        st.lists(
+            st.text(
+                alphabet=st.characters(whitelist_categories=("Lu", "Ll", "Nd"), max_codepoint=0x7F),
+                min_size=1,
+                max_size=12,
+            ),
+            min_size=1,
+            max_size=5,
         ),
         min_size=1,
         max_size=5,
     )
 )
 def test_hbox_roundtrip(lines):
-    """Text join conventions survive arbitrary ASCII content."""
-    from libpdf_ray.kernels.textmodel import assemble_hbox
+    """Text join conventions survive arbitrary ASCII words: words join
+    with ' ' into a line, lines with '\\n' into the box."""
+    from libpdf_ray.kernels.textmodel import (assemble_textbox_lines,
+                                              hbox_from_lines, line_word_dicts)
 
-    hbox = assemble_hbox([{"text": ln, "ncolor": None, "fontname": None} for ln in lines])
-    for ln, out in zip(lines, hbox["lines"]):
-        # single-space word split + ' '-join collapses runs of spaces —
-        # that IS the reference convention; words never contain spaces
-        assert all(" " not in w["text"] and w["text"] != "" for w in out["words"])
-    assert hbox["text"] == "\n".join(" ".join(w for w in ln.split(" ") if w) for ln in lines)
+    words = [
+        {"text": w, "x0": 72.0 + 80.0 * j, "y0": 588.0 - 14.0 * i,
+         "x1": 72.0 + 80.0 * j + 6.0 * len(w), "y1": 600.0 - 14.0 * i,
+         "ncolor": None, "fontname": None}
+        for i, ln in enumerate(lines)
+        for j, w in enumerate(ln)
+    ]
+    hbox = hbox_from_lines(assemble_textbox_lines({"words": words}))
+    assert [[w["text"] for w in line_word_dicts(out)] for out in hbox["lines"]] == lines
+    assert hbox["text"] == "\n".join(" ".join(ln) for ln in lines)
 
 
 @settings(max_examples=30, deadline=None)

@@ -69,3 +69,39 @@ def test_torn_manifest_treated_as_incomplete(tmp_path):
     with open(os.path.join(out_dir, "_manifest", "part-0000.json"), "w") as fh:
         fh.write('{"part_id": "0000", "n_docs"')  # torn write
     assert completed_partitions(out_dir) == {}
+
+
+def test_nested_corpus_every_reader_sees_every_doc(ray_session, tmp_path):
+    """Shards in a sub-directory: every sidecar reader lists parquet files
+    the same way (recursively), so all four entry points and the CLI's
+    spans and views see the same documents."""
+    import pyarrow.parquet as pq
+
+    from libpdf_ray.__main__ import main
+    from libpdf_ray.fixtures import write_corpus
+    from libpdf_ray.pipelines.extract import (extract_spans, extract_spans_fused,
+                                              read_corpus)
+    from libpdf_ray.pipelines.split import extract_spans_split
+
+    corpus = str(tmp_path / "corpus")
+    write_corpus(corpus, n_docs=8, seed=3, shards=2, skew_pages=6)
+    write_corpus(os.path.join(corpus, "sub"), n_docs=4, seed=5, shards=1, skew_pages=6)
+
+    def doc_ids(pattern):
+        return sorted(
+            i for f in glob.glob(pattern, recursive=True)
+            for i in pq.read_table(f, columns=["doc_id"]).column("doc_id").to_pylist()
+        )
+
+    want = doc_ids(os.path.join(corpus, "**", "*.parquet"))
+    assert len(want) == 12
+    for ds in (extract_spans(read_corpus(corpus)), extract_spans_fused(corpus),
+               extract_spans_split(corpus)):
+        assert sorted(r["doc_id"] for r in ds.take_all()) == want
+    run = str(tmp_path / "run")
+    run_resumable(corpus, run)
+    assert doc_ids(os.path.join(run, "part-*", "*.parquet")) == want
+    cli = str(tmp_path / "cli")
+    assert main([corpus, "-o", cli, "--views", "file_meta"]) == 0
+    assert doc_ids(os.path.join(cli, "part-*", "*.parquet")) == want
+    assert doc_ids(os.path.join(cli, "views", "file_meta", "*.parquet")) == want

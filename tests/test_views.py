@@ -74,3 +74,33 @@ def test_text_styles_on_pdf_bytes_match_prepare_pages(seed, monkeypatch):
         if line_word_dicts(ln)
     }
     assert got == want
+
+
+def test_word_colors_on_generated_pdf():
+    """Generated-PDF twin of the colour assertions of
+    ``tests/test_pdf_bytes.py::TestWordColors``: per-word fill colours
+    survive byte decode → glyph layout → line lift.  Uniform lines lift
+    their colour; the mixed line (first word red, the rest in the PDF
+    default fill) lifts None.  Fonts are left out: the writer uses one."""
+    from libpdf_ray.config import SMART_CROP_CONFIG
+
+    doc = build_document(10, "colors")
+    paras = [s["text"].split("\n") for s in doc["expected_spans"]
+             if s["kind"] == "paragraph"]
+    red_lines, (blue, green), (mixed,) = paras[0], paras[1], paras[2]
+    lines: dict = {}
+    for r in view_batch(_pdf_batch(doc), "text_styles", SMART_CROP_CONFIG).to_pylist():
+        lines.setdefault((r["page"], r["box_idx"], r["line_idx"]), []).append(r)
+    by_text = {" ".join(r["word_text"] for r in rows): rows for rows in lines.values()}
+
+    def rgb(row, level):
+        return tuple(row[f"{level}_ncolor_{c}"] for c in "rgb")
+
+    for text, color in [(t, (1.0, 0.0, 0.0)) for t in red_lines] + [
+            (blue, (0.0, 0.0, 1.0)), (green, (0.0, 1.0, 0.0))]:
+        assert rgb(by_text[text][0], "line") == color, text
+    assert mixed.startswith("ex")
+    rows = by_text[mixed]
+    assert rgb(rows[0], "line") == (None, None, None)
+    assert rgb(rows[0], "word") == (1.0, 0.0, 0.0)
+    assert {rgb(r, "word") for r in rows[1:]} == {(0.0, 0.0, 0.0)}
