@@ -115,10 +115,13 @@ def main(argv=None) -> int:
         no_rects=args.no_rects,
         parse_batch_size=args.batch_size,
     )
-    from libpdf_ray.stages.views import VIEWS, view_table
+    from libpdf_ray.stages.views import VIEWS
+
+    def names(csv):
+        return [v.strip() for v in csv.split(",") if v.strip()]
 
     # validate --views BEFORE any work: a typo must not cost a full run
-    view_names = [v.strip() for v in args.views.split(",") if v.strip()]
+    view_names = names(args.views)
     unknown = [v for v in view_names if v not in VIEWS]
     if unknown:
         print(f"unknown view(s): {', '.join(unknown)}", file=sys.stderr)
@@ -134,44 +137,59 @@ def main(argv=None) -> int:
               "(no yaml/views/visual-debug/media modes)", file=sys.stderr)
         return 2
 
-    def read_input():
-        # fresh Dataset per consumer (Datasets are re-executable, but a
-        # fresh plan keeps the logs and stats per stage honest)
+    from libpdf_ray.stages.elements import rendered_elements
+    from libpdf_ray.stages.outputs import COUNT_COLUMNS, Outputs
+
+    # every output of the run comes from ONE parse pass per document: the
+    # parse task that builds a document's spans also writes its view rows,
+    # YAML tree, visual-debug pages and figure crops (stages/outputs.py)
+    outputs = Outputs(
+        views=tuple(view_names),
+        views_dir=os.path.join(args.output, "views"),
+        yaml_dir=args.output if args.format == "yaml" else "",
+        visual_dir=args.visual_debug,
+        visual_format=args.visual_format,
+        visual_elements=rendered_elements(
+            names(args.visual_debug_include_elements),
+            names(args.visual_debug_exclude_elements),
+        ),
+        visual_split=args.visual_split_elements,
+        media_dir=args.media_dir,
+        media_format=args.media_format,
+    )
+    outputs = outputs if outputs.keys() else None
+    sum_cols = ("n_spans",) + (COUNT_COLUMNS if outputs else ())
+
+    def parse_plan():
         if args.input_format == "pdf":
-            from libpdf_ray.stages.pdf_decoder import read_pdf_files
+            from libpdf_ray.pipelines.extract import extract_spans
+            from libpdf_ray.stages.pdf_decoder import PdfByteDecoder, read_pdf_files
 
-            return read_pdf_files(args.input_dir)
-        from libpdf_ray.pipelines.extract import PARSE_COLUMNS, read_corpus
+            return extract_spans(read_pdf_files(args.input_dir), cfg,
+                                 decoder=PdfByteDecoder(), outputs=outputs)
+        from libpdf_ray.pipelines.extract import extract_spans_fused
 
-        # + meta: the file_meta view reads it; the parser never does
-        return read_corpus(args.input_dir, columns=PARSE_COLUMNS + ["meta"])
+        return extract_spans_fused(args.input_dir, cfg, outputs)
 
-    # side-mode run summaries are reduced IN-STREAM (one partial row per
-    # batch + tree sum) — never a per-document driver DataFrame
-    from libpdf_ray.pipelines.summary import manifest_summary
+    def counted(totals):
+        return {"documents": totals["documents"], "errors": totals["errors"],
+                "spans": totals["n_spans"], "output": args.output}
 
+    # run summaries are reduced IN-STREAM (one totals dict per task) —
+    # never a per-document driver DataFrame
     if args.format == "yaml":
         # reference parity mode: one nested YAML tree per document
-        # (libpdf/process.py:131-186); the manifest is the run summary
-        from libpdf_ray.pipelines.yamldump import dump_yaml
+        # (libpdf/process.py:131-186); the parse pass is only summed
+        from libpdf_ray.pipelines.summary import manifest_summary
 
-        stats = manifest_summary(
-            dump_yaml(read_input(), cfg, args.output,
-                      batch_size=args.batch_size),
-            sum_cols=("n_spans",),
-        )
-        summary = {
-            "format": "yaml",
-            "documents": stats["documents"],
-            "errors": stats["errors"],
-            "spans": stats["n_spans"],
-            "output": args.output,
-        }
+        totals = manifest_summary(parse_plan(), sum_cols=sum_cols)
+        summary = {"format": "yaml", **counted(totals)}
     elif args.input_format in ("pdf", "html"):
         # real-file corpus: stream spans straight to partitioned parquet
         # (resume manifests are a parquet-shard concept; PDF/HTML runs
         # re-read only the source files, which is the whole job)
-        out_dir = os.path.join(args.output, "spans")
+        from libpdf_ray.pipelines.summary import write_spans
+
         if args.input_format == "html":
             from libpdf_ray.ops.html import html_spans_batch, read_html_files
 
@@ -180,64 +198,21 @@ def main(argv=None) -> int:
                 batch_size=args.batch_size,
             )
         else:
-            from libpdf_ray.pipelines.extract import extract_spans
-
-            spans_ds = extract_spans(read_input(), cfg)
-        spans_ds.write_parquet(out_dir)
-        # summarize from the WRITTEN columns (pruned re-read, not a second
-        # full decode of every PDF)
-        stats = manifest_summary(
-            ray.data.read_parquet(out_dir, columns=["n_spans", "error"]),
-            sum_cols=("n_spans",),
-        )
-        summary = {
-            "documents": stats["documents"],
-            "errors": stats["errors"],
-            "spans": stats["n_spans"],
-            "output": args.output,
-        }
+            spans_ds = parse_plan()
+        totals = write_spans(spans_ds, os.path.join(args.output, "spans"), sum_cols)
+        summary = counted(totals)
     else:
-        summary = run_resumable(
+        totals = run_resumable(
             args.input_dir, args.output, cfg,
-            files_per_partition=args.files_per_partition,
+            files_per_partition=args.files_per_partition, outputs=outputs,
         )
+        summary = {k: totals[k] for k in ("ran", "skipped", "total_partitions")}
     if view_names:
-        # the reference's YAML/JSON element dump, relationally: one parquet
-        # table per requested view (the full Root→elements model is
-        # losslessly encoded across them)
-        for name in view_names:
-            out = os.path.join(args.output, "views", name)
-            view_table(read_input(), name, cfg).write_parquet(out)
         summary["views"] = view_names
     if args.visual_debug:
-        from libpdf_ray.stages.elements import render_debug_svg
-
-        inc = tuple(
-            v.strip() for v in args.visual_debug_include_elements.split(",")
-            if v.strip()
-        )
-        exc = tuple(
-            v.strip() for v in args.visual_debug_exclude_elements.split(",")
-            if v.strip()
-        )
-        dbg = manifest_summary(
-            render_debug_svg(
-                read_input(), cfg, args.visual_debug,
-                include_elements=inc, exclude_elements=exc,
-                split_elements=args.visual_split_elements,
-                fmt=args.visual_format,
-            )
-        )
-        summary["visual_debug_pages"] = dbg["documents"] - dbg["errors"]
+        summary["visual_debug_pages"] = totals["visual_debug_pages"]
     if args.media_dir:
-        from libpdf_ray.state.media_store import export_media_svg
-
-        crops = manifest_summary(
-            export_media_svg(
-                read_input(), cfg, args.media_dir, fmt=args.media_format
-            )
-        )
-        summary["media_crops"] = crops["documents"] - crops["errors"]
+        summary["media_crops"] = totals["media_crops"]
     print(json.dumps(summary))
     ray.shutdown()
     return 0

@@ -58,11 +58,6 @@ def overlaps(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     )
 
 
-def clamp_nonnegative(bboxes: np.ndarray) -> np.ndarray:
-    """Clamp negative coordinates to 0 (``libpdf/extract.py:792-803``)."""
-    return np.maximum(bboxes, 0.0)
-
-
 def union_bbox(bboxes: np.ndarray) -> tuple:
     """min/max union of a set of bboxes (``libpdf/textbox.py:193-196``)."""
     return (

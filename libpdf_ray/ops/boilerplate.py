@@ -220,16 +220,6 @@ def strip_boilerplate(
     return corpus_ds.map_batches(Strip, batch_format="pyarrow", concurrency=2)
 
 
-def boilerplate_report(spans_ds, min_doc_fraction: float = 0.05, min_docs: int = 3):
-    """(h, n_docs) rows for every boilerplate paragraph — the audit view."""
-    hot, total = find_boilerplate_hashes(spans_ds, min_doc_fraction, min_docs)
-    import ray.data as rd
-
-    return rd.from_items(
-        [{"h": h, "corpus_docs": total} for h in sorted(hot)]
-    )
-
-
 def main_content_labels(corpus_ds, short_tokens: int = 5):
     """Readability-style main-content classification over span sequences —
     the "DOM heuristics" leg of main-content extraction, re-expressed on

@@ -109,7 +109,7 @@ def html_extract_dataset(sf_dir: str):
 
 def read_html_files(paths):
     """.html/.htm file paths (a directory, a file, or a list of either) →
-    Dataset of ``{doc_id, html}`` rows, ``html`` the page's raw bytes.
+    Dataset of ``{doc_id, path, html}`` rows, ``html`` the page's raw bytes.
 
     Read inside the parse task as ``read_pdf_files`` is
     (:func:`ops.util.read_files`).  The bytes are decoded per page in

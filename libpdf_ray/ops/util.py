@@ -73,7 +73,7 @@ def file_doc_id(path: str) -> str:
 
 
 def read_files(paths, extensions: tuple, column: str):
-    """File paths (see :func:`list_files`) → Dataset of ``{doc_id,
+    """File paths (see :func:`list_files`) → Dataset of ``{doc_id, path,
     <column>}`` rows, ``<column>`` holding each file's raw bytes.
 
     The driver only lists; each task opens its own block's files.  The plan
@@ -103,6 +103,7 @@ def _read_batch(batch: pa.Table, column: str) -> pa.Table:
             data.append(fh.read())
     return pa.table({
         "doc_id": pa.array([file_doc_id(p) for p in paths], pa.string()),
+        "path": pa.array(paths, pa.string()),
         column: pa.array(data, pa.binary()),
     })
 

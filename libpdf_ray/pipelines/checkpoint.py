@@ -8,9 +8,12 @@ so the engine provides it at the layout level:
 - the *partition* is an input shard (one or more sidecar parquet files);
 - each partition runs as its own streaming pipeline and writes
   ``out_dir/part-<id>/`` (parquet) plus ``out_dir/_manifest/part-<id>.json``
-  containing lineage (exact input files), metrics (docs, spans, wall time,
-  attempt) — written ATOMICALLY (tmp + rename) after the data;
-- resume = list manifests, skip completed partitions, run the rest.
+  containing lineage (exact input files), the side outputs its parse tasks
+  wrote (views, YAML, visual-debug pages, figure crops — see
+  ``stages/outputs.py``) and metrics (docs, spans, side-output counts,
+  wall time, attempt) — written ATOMICALLY (tmp + rename) after the data;
+- resume = list manifests, skip each partition whose manifest covers every
+  output the run asks for, run the rest.
 
 The driver loop over partitions is control flow only — each partition's data
 still streams through Ray Data with backpressure; nothing is materialized
@@ -22,6 +25,7 @@ from __future__ import annotations
 import glob
 import json
 import os
+import shutil
 import time
 
 from ..config import PipelineConfig
@@ -84,45 +88,58 @@ def run_resumable(
     cfg: PipelineConfig | None = None,
     files_per_partition: int = 1,
     fail_after_partitions: int | None = None,
+    outputs=None,
 ) -> dict:
     """Run the extraction pipeline partition by partition, skipping
     completed ones.  Returns a summary dict.
 
+    ``outputs`` (``stages/outputs.py:Outputs``) adds the side files the
+    parse tasks write (views, YAML, visual-debug pages, figure crops).  A
+    partition is skipped only when its manifest lists every output key the
+    run asks for; the summary then carries the run's ``visual_debug_pages``
+    / ``media_crops`` totals, completed partitions included.
+
     ``fail_after_partitions`` is a test hook: raise after N newly-completed
     partitions to simulate a killed job.
     """
+    from ..stages.outputs import COUNT_COLUMNS
+    from .summary import write_spans
+
     cfg = cfg or PipelineConfig()
     os.makedirs(out_dir, exist_ok=True)
     plan = plan_partitions(input_dir, files_per_partition)
     done = completed_partitions(out_dir)
+    wanted = outputs.keys() if outputs else []
+    counted = COUNT_COLUMNS if outputs else ()
     ran, skipped = [], []
+    counts = dict.fromkeys(counted, 0)
     for part_id, files in plan:
-        if part_id in done:
+        manifest = done.get(part_id)
+        if manifest and set(wanted) <= set(manifest.get("outputs", [])):
             skipped.append(part_id)
+            for c in counted:
+                counts[c] += manifest.get(c, 0)
             continue
         t0 = time.time()
         part_out = os.path.join(out_dir, f"part-{part_id}")
-        # stale partial output from a killed attempt is overwritten.
+        # a rerun replaces whatever an earlier attempt left here.
         # fused read+parse: one task per row-group fragment — only span
         # output crosses the object store (see extract_spans_fused)
-        ds = extract_spans_fused(files, cfg)
-        ds.write_parquet(part_out)
-        import pyarrow.parquet as pq
-
-        n_docs = 0
-        n_spans = 0
-        for f in glob.glob(os.path.join(part_out, "*.parquet")):
-            t = pq.read_table(f, columns=["n_spans"])
-            n_docs += t.num_rows
-            n_spans += sum(t.column("n_spans").to_pylist())
+        shutil.rmtree(part_out, ignore_errors=True)
+        ds = extract_spans_fused(files, cfg, outputs)
+        totals = write_spans(ds, part_out, ("n_spans",) + counted)
+        for c in counted:
+            counts[c] += totals[c]
         write_manifest(
             out_dir,
             {
                 "part_id": part_id,
                 "input_files": files,          # lineage
                 "output_dir": part_out,
-                "n_docs": n_docs,              # metrics
-                "n_spans": n_spans,
+                "outputs": wanted,
+                "n_docs": totals["documents"],  # metrics
+                "n_spans": totals["n_spans"],
+                **{c: totals[c] for c in counted},
                 "wall_time_s": round(time.time() - t0, 3),
                 "attempt_finished_at": time.time(),
             },
@@ -130,4 +147,4 @@ def run_resumable(
         ran.append(part_id)
         if fail_after_partitions is not None and len(ran) >= fail_after_partitions:
             raise RuntimeError(f"injected failure after {len(ran)} partitions")
-    return {"ran": ran, "skipped": skipped, "total_partitions": len(plan)}
+    return {"ran": ran, "skipped": skipped, "total_partitions": len(plan), **counts}

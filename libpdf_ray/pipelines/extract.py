@@ -65,15 +65,18 @@ def extract_spans(
     ds: "ray.data.Dataset",
     cfg: PipelineConfig | None = None,
     decoder=None,
+    outputs=None,
 ) -> "ray.data.Dataset":
     """Raw document Dataset → span-row Dataset (``schema.SPANS_SCHEMA``).
 
     ``decoder`` is the parse-boundary seam (``stages/decoder.py``):
     default sidecar rows; pass ``PdfByteDecoder()`` for a Dataset of
-    ``{doc_id, pdf_bytes}`` rows (``read_pdf_files``)."""
+    ``{doc_id, pdf_bytes}`` rows (``read_pdf_files``).  ``outputs``
+    (``stages/outputs.py:Outputs``) adds the side files each parse task
+    writes from the same per-document model."""
     cfg = cfg or PipelineConfig()
     return ds.map_batches(
-        parse_batch, fn_kwargs={"cfg": cfg, "decoder": decoder},
+        parse_batch, fn_kwargs={"cfg": cfg, "decoder": decoder, "outputs": outputs},
         batch_format="pyarrow", batch_size=cfg.parse_batch_size,
     )
 
@@ -109,19 +112,19 @@ def list_fragments(paths) -> list:
     return items
 
 
-def read_fragment(item: dict):
-    """One ``list_fragments`` descriptor → its row group, pruned to the
-    parser's columns, read in the calling task."""
+def read_fragment(item: dict, columns=PARSE_COLUMNS):
+    """One ``list_fragments`` descriptor → its row group, pruned to
+    ``columns`` (those present), read in the calling task."""
     import pyarrow.parquet as _pq
 
     pf = _pq.ParquetFile(item["path"])
     avail = set(pf.schema_arrow.names)
     return pf.read_row_group(
-        int(item["rg"]), columns=[c for c in PARSE_COLUMNS if c in avail]
+        int(item["rg"]), columns=[c for c in columns if c in avail]
     )
 
 
-def extract_spans_fused(paths, cfg: PipelineConfig | None = None):
+def extract_spans_fused(paths, cfg: PipelineConfig | None = None, outputs=None):
     """Read+parse FUSED into one task per parquet row group.
 
     The separate ReadParquet → MapBatches plan ships every raw block
@@ -137,6 +140,9 @@ def extract_spans_fused(paths, cfg: PipelineConfig | None = None):
     corpus' row-group size — keep writing corpora with
     ``row_group_size ≈ parse_batch_size`` (fixtures.write_corpus default).
     Column pruning is preserved (``read_row_group(columns=...)``).
+
+    ``outputs`` (``stages/outputs.py:Outputs``) adds the side files each
+    parse task writes; such a run also reads ``meta`` (``file_meta``).
     """
     import pyarrow as pa
 
@@ -156,9 +162,12 @@ def extract_spans_fused(paths, cfg: PipelineConfig | None = None):
     per = round(len(items) / max(1, 2 * cluster_cpus()))
     fragments_per_task = int(max(1, min(4, per)))
 
+    columns = PARSE_COLUMNS + ["meta"] if outputs else PARSE_COLUMNS
+
     def read_and_parse(batch: pa.Table) -> pa.Table:
         return pa.concat_tables(
-            [parse_batch(read_fragment(item), cfg) for item in batch.to_pylist()]
+            [parse_batch(read_fragment(item, columns), cfg, outputs=outputs)
+             for item in batch.to_pylist()]
         )
 
     return ray.data.from_items(

@@ -9,11 +9,12 @@ chapter nesting from the elements' uid paths (``chapter.1/chapter.1.1/
 paragraph.2``), link spans attached to their carrier element — and writes
 one YAML file per document.
 
-Executed distributed, same shape as the media sink: each ``map_batches``
-task extracts and dumps its own documents (atomic tmp+rename writes →
-idempotent on retry, resumable for free) and returns a manifest row per
-document.  A debugging/hand-off format: at corpus scale the parquet views
-remain the real sink, so files-per-doc fan-out is acceptable here.
+Written by the parse task (``stages/outputs.py``) from the document model
+it already built for the span row: :func:`doc_yaml` per document, one
+``<doc_id>.yaml`` each, through the same atomic tmp+rename writer as every
+other side file (idempotent on retry).  A debugging/hand-off format: at
+corpus scale the parquet views remain the real sink, so files-per-doc
+fan-out is acceptable here.
 
 The tree is built by the pure, unit-tested pair :func:`build_doc_tree` /
 :func:`flatten_tree`, with the round-trip contract
@@ -24,12 +25,6 @@ pinned for every fixture family (``tests/test_yamldump.py``).
 """
 
 from __future__ import annotations
-
-import os
-
-import pandas as pd
-
-from ..config import PipelineConfig
 
 
 def build_doc_tree(spans: list, elements: list) -> dict:
@@ -115,61 +110,9 @@ def flatten_tree(tree: dict) -> list:
     return out
 
 
-class YamlDumper:
-    """Actor-pool sink: raw corpus rows → one ``<doc_id>.yaml`` each,
-    manifest row (doc_id, path, n_spans, error) per document."""
+def doc_yaml(spans: list, elements: list) -> str:
+    """One document's YAML file text: its :func:`build_doc_tree`, dumped."""
+    import yaml
 
-    def __init__(self, cfg: PipelineConfig, out_dir: str):
-        self.cfg = cfg
-        self.out_dir = out_dir
-
-    def __call__(self, batch) -> pd.DataFrame:
-        import yaml
-
-        from ..kernels.document import extract_document_full
-        from ..stages.decoder import SidecarDecoder
-
-        rows = SidecarDecoder().decode(batch)
-        doc_ids, paths, n_spans, errors = [], [], [], []
-        os.makedirs(self.out_dir, exist_ok=True)
-        for row in rows:
-            doc_ids.append(row["doc_id"])
-            path = os.path.join(self.out_dir, f"{row['doc_id']}.yaml")
-            try:
-                spans, elements = extract_document_full(row, self.cfg)
-                tree = build_doc_tree(spans, elements)
-                text = yaml.safe_dump(
-                    tree, sort_keys=False, allow_unicode=True, width=100
-                )
-                tmp = path + ".tmp"
-                with open(tmp, "w", encoding="utf-8") as fh:
-                    fh.write(text)
-                os.replace(tmp, path)  # atomic, idempotent on retry
-                paths.append(path)
-                n_spans.append(len(spans))
-                errors.append("")
-            except Exception as exc:  # noqa: BLE001 - poison-doc discipline
-                paths.append("")
-                n_spans.append(0)
-                errors.append(f"{type(exc).__name__}: {exc}")
-        return pd.DataFrame(
-            {
-                "doc_id": doc_ids,
-                "path": paths,
-                "n_spans": n_spans,
-                "error": errors,
-            }
-        )
-
-
-def dump_yaml(corpus_ds, cfg: PipelineConfig, out_dir: str,
-              batch_size: int = 32, concurrency: int = 2):
-    """Corpus → per-document YAML trees under ``out_dir``; returns the
-    manifest Dataset (consume it to drive execution)."""
-    return corpus_ds.map_batches(
-        YamlDumper,
-        fn_constructor_kwargs={"cfg": cfg, "out_dir": out_dir},
-        batch_format="pyarrow",
-        batch_size=batch_size,
-        concurrency=concurrency,
-    )
+    return yaml.safe_dump(build_doc_tree(spans, elements), sort_keys=False,
+                          allow_unicode=True, width=100)

@@ -1,4 +1,4 @@
-"""Corpus readers/writers with format gating.
+"""Corpus reader with format gating.
 
 The north rule names Lance tables; this container ships only parquet, so the
 reader resolves the best available format at call time (``lance``/
@@ -46,13 +46,3 @@ def read_documents(path: str, columns=None, file_format: str = "auto", **kwargs)
     if file_format == "csv":
         return rd.read_csv(path, **kwargs)
     return rd.read_parquet(path, columns=columns, **kwargs)
-
-
-def write_documents(ds, path: str, file_format: str = "auto", **kwargs):
-    if file_format == "auto":
-        file_format = "lance" if str(path).endswith(".lance") and lance_available() else "parquet"
-    if file_format == "lance":
-        return ds.write_lance(path, **kwargs)
-    if file_format == "json":
-        return ds.write_json(path, **kwargs)
-    return ds.write_parquet(path, **kwargs)

@@ -14,14 +14,16 @@ from __future__ import annotations
 import pyarrow as pa
 
 from ..config import PipelineConfig
-from ..kernels.document import extract_document
+from ..kernels.document import extract_document, extract_document_full
 from ..schema import SPANS_SCHEMA, SPANS_TYPE
 # the decode machinery lives behind the DocumentDecoder seam (the parse
 # boundary where a real PDF-byte decoder would bind — see stages/decoder.py)
 from .decoder import DocumentDecoder, SidecarDecoder
+from .outputs import COUNT_COLUMNS, Outputs, write_doc_outputs, write_views
 
 __all__ = [
     "DocumentDecoder",
+    "Outputs",
     "SidecarDecoder",
     "parse_batch",
     "explode_spans",
@@ -29,32 +31,49 @@ __all__ = [
 
 
 def parse_batch(batch: pa.Table, cfg: PipelineConfig,
-                decoder: DocumentDecoder | None = None) -> pa.Table:
+                decoder: DocumentDecoder | None = None,
+                outputs: Outputs | None = None) -> pa.Table:
     """Arrow batch of raw document rows → Arrow batch of (doc_id, spans,
-    n_spans, est_pages) rows.  The per-doc kernel consumes deeply nested
-    structs — the *document* is the vectorization unit, matching a per-PDF
-    parser — but the word-level payload (the bulk of the bytes) is decoded
-    flat, not via ``to_pylist`` (see ``stages/decoder.py``).
+    n_spans, est_pages, error) rows.  The per-doc kernel consumes deeply
+    nested structs — the *document* is the vectorization unit, matching a
+    per-PDF parser — but the word-level payload (the bulk of the bytes) is
+    decoded flat, not via ``to_pylist`` (see ``stages/decoder.py``).
 
     ``decoder`` is the parse-boundary seam (:class:`DocumentDecoder`):
     defaults to the synthetic :class:`SidecarDecoder`; a PDF-byte decoder
-    drops in here without touching anything downstream."""
+    drops in here without touching anything downstream.
+
+    ``outputs`` (:class:`Outputs`) names the side files the run asks for:
+    views, YAML trees, visual-debug pages and figure crops are written from
+    the same per-document model as the span row (``stages/outputs.py``),
+    and the rows gain the :data:`COUNT_COLUMNS`.  This task is the only
+    place a run decodes and lays out a document."""
     rows = (decoder or _DEFAULT_DECODER).decode(batch)
     doc_ids = []
     spans_col = []
     n_spans = []
     est_pages = []
     errors = []
+    counts = []
+    view_rows = {name: [] for name in outputs.views} if outputs else {}
     for row in rows:
         # poison-document discipline (SURVEY §4.2): a malformed document
         # becomes an error row, never a dead task — at 10^12 docs a single
         # raising row must not kill the batch or poison retries
+        written = (0, 0)
         try:
             if row.get("_decode_error"):
                 # decoder-level poison (e.g. encrypted/corrupt PDF bytes):
                 # carry the decode failure, don't run the kernel
                 raise RuntimeError(row["_decode_error"])
-            spans = extract_document(row, cfg)
+            if outputs is None:
+                # spans only: the same one layout, through the name
+                # perfbench's tracer times as the layout layer
+                spans = extract_document(row, cfg)
+            else:
+                spans, elements = extract_document_full(row, cfg)
+                written = write_doc_outputs(row, spans, elements, cfg,
+                                            outputs, view_rows)
             errors.append("")
         except Exception as exc:  # noqa: BLE001 - deliberate catch-all
             spans = []
@@ -63,7 +82,8 @@ def parse_batch(batch: pa.Table, cfg: PipelineConfig,
         spans_col.append(spans)
         n_spans.append(len(spans))
         est_pages.append(int(row.get("est_pages") or len(row.get("pages") or [])))
-    return pa.table(
+        counts.append(written)
+    table = pa.table(
         {
             "doc_id": pa.array(doc_ids, pa.string()),
             "spans": pa.array(spans_col, SPANS_TYPE),
@@ -73,6 +93,16 @@ def parse_batch(batch: pa.Table, cfg: PipelineConfig,
         },
         schema=SPANS_SCHEMA,
     )
+    if outputs is None:
+        return table
+    # the batch's input identity names its view files: the file paths of a
+    # path-list read (ops/util.py:read_files), else the doc ids
+    source = batch.column("path" if "path" in batch.column_names else "doc_id")
+    write_views(view_rows, outputs, "\n".join(map(str, source.to_pylist())))
+    for i, name in enumerate(COUNT_COLUMNS):
+        table = table.append_column(
+            name, pa.array([c[i] for c in counts], pa.int64()))
+    return table
 
 
 #: module-level default so parse_batch calls don't rebuild a decoder per

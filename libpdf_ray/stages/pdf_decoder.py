@@ -538,7 +538,7 @@ class PdfByteDecoder:
 
 def read_pdf_files(paths):
     """PDF file paths (a directory, a file, or a list of either) →
-    ``ray.data.Dataset`` of ``{doc_id, pdf_bytes}`` rows.
+    ``ray.data.Dataset`` of ``{doc_id, path, pdf_bytes}`` rows.
 
     The driver lists the files; each parse task opens its own
     (:func:`ops.util.read_files`), so the read fuses into the caller's

@@ -3,8 +3,12 @@
 The reference's ``Root → Chapter/Paragraph/Table/Figure/Rect`` object graph
 (plus cells, links, per-char styles and ``FileMeta``/``Page``) reaches
 users here as seven flat tables.  :data:`VIEWS` maps each view name to its
-output schema and a per-document row generator ``rows(doc, cfg)``;
-:func:`view_table` runs any of them over a Dataset of raw document rows:
+output schema and a per-document row generator ``rows(doc, elements, cfg)``
+over the FINISHED model: ``elements`` is ``extract_document_full``'s
+element list, computed once per document by whoever calls the generators
+(the parse task for every view a run asks for, :func:`view_batch` for the
+driver's Dataset API).  :func:`view_table` runs any view over a Dataset of
+raw document rows:
 
 - ``elements`` — one row per element with uid, bbox and payload (the
   reference's ``ApiObjects`` flattened view, libpdf/apiobjects.py:18-79);
@@ -24,13 +28,15 @@ output schema and a per-document row generator ``rows(doc, cfg)``;
 Every batch is decoded by :func:`decode_sidecar_rows`, so the views run
 unchanged on sidecar rows and on real-PDF ``pdf_bytes`` rows, and every
 output batch — 0 rows included — carries the view's declared schema.
+Each :data:`VIEWS` entry says whether its rows read ``elements``;
+``file_meta``, ``pages`` and ``text_styles`` never run the element layout.
+A document that fails to decode or lay out contributes no rows (its span
+row carries the error).
 Colors land as nullable ``(r, g, b)`` doubles so the tables stay joinable
 and Arrow-clean.
 """
 
 from __future__ import annotations
-
-import dataclasses
 
 import pyarrow as pa
 
@@ -50,8 +56,8 @@ def _rgb(color):
     return (c + (None, None, None))[:3]
 
 
-def _element_rows(doc, cfg):
-    for el in extract_document_full(doc, cfg)[1]:
+def _element_rows(doc, elements, cfg):
+    for el in elements:
         yield {
             "doc_id": doc["doc_id"], "uid": el["uid"], "etype": el["etype"],
             "page": el["page"], "x0": el["x0"], "y0": el["y0"],
@@ -61,12 +67,11 @@ def _element_rows(doc, cfg):
         }
 
 
-def _cell_rows(doc, cfg):
+def _cell_rows(doc, elements, cfg):
     # table_idx: 1-based reading-order ordinal per document (the uid is
     # chapter-scoped, the ordinal is the stable doc-level key the
     # generator-as-oracle expected_cells column uses)
-    tables = [el for el in extract_document_full(doc, cfg)[1]
-              if el["etype"] == "table"]
+    tables = [el for el in elements if el["etype"] == "table"]
     for table_idx, el in enumerate(tables, 1):
         for cell in el.get("cells", []):
             yield {
@@ -76,7 +81,7 @@ def _cell_rows(doc, cfg):
             }
 
 
-def _link_rows(doc, cfg):
+def _link_rows(doc, elements, cfg):
     def row(uid, kind, r, c, link):
         return {
             "doc_id": doc["doc_id"], "source_uid": uid, "source_kind": kind,
@@ -85,7 +90,7 @@ def _link_rows(doc, cfg):
             "target": link.get("target", ""),
         }
 
-    for el in extract_document_full(doc, cfg)[1]:
+    for el in elements:
         for link in el.get("links", []):
             yield row(el["uid"], el["etype"], 0, 0, link)
         if el["etype"] == "table":
@@ -94,7 +99,7 @@ def _link_rows(doc, cfg):
                     yield row(el["uid"], "cell", cell["row"], cell["col"], link)
 
 
-def _text_style_rows(doc, cfg):
+def _text_style_rows(doc, elements, cfg):
     # the style model is read off ALL assembled textboxes (the layout
     # kernel the span path runs), independent of element classification
     pages = selected_pages(doc, cfg)
@@ -121,17 +126,8 @@ def _text_style_rows(doc, cfg):
                 }
 
 
-def _rect_style_rows(doc, cfg):
-    # rects-only slice: the view carries no uid and no cross-element state,
-    # so every other extraction stage (figures/tables/paragraph rendering,
-    # outline chapter matching and link resolution) is toggled off; rect
-    # geometry/color/cropped-text output is identical (rects interact with
-    # no other element kind in the reference, libpdf/extract.py:662-731)
-    cfg = dataclasses.replace(
-        cfg, no_chapters=True, no_paragraphs=True, no_tables=True,
-        no_figures=True, no_annotations=True,
-    )
-    for el in extract_document_full(doc, cfg)[1]:
+def _rect_style_rows(doc, elements, cfg):
+    for el in elements:
         if el["etype"] == "rect":
             r, g, b = _rgb(el.get("ncolor"))
             yield {
@@ -145,7 +141,7 @@ def _rect_style_rows(doc, cfg):
 _META_FIELDS = ("author", "title", "subject", "creator", "producer", "keywords")
 
 
-def _file_meta_rows(doc, cfg):
+def _file_meta_rows(doc, elements, cfg):
     # a PDF "D:" string (``*_date_raw``) is parsed with the reference's
     # lenient grammar; the sidecar's native timestamp is passed otherwise
     meta = doc.get("meta") or {}
@@ -165,7 +161,7 @@ def _file_meta_rows(doc, cfg):
     }
 
 
-def _page_rows(doc, cfg):
+def _page_rows(doc, elements, cfg):
     for p in doc.get("pages") or []:
         yield {"doc_id": doc["doc_id"], "number": int(p["number"]),
                "width": float(p["width"]), "height": float(p["height"])}
@@ -179,44 +175,57 @@ def _style(level):
     return [(f"{level}_{n}", t) for n, t in _RGB + [("fontname", _S)]]
 
 
-#: view name → (output schema, per-document row generator ``rows(doc, cfg)``)
+#: view name → (output schema, per-document row generator
+#: ``rows(doc, elements, cfg)``, whether the rows read ``elements``; a
+#: view that does not gets ``elements=None``)
 VIEWS = {
     "elements": (pa.schema(
         [("doc_id", _S), ("uid", _S), ("etype", _S), ("page", _I), *_BBOX,
-         ("text", _S), ("media_ref", _S), ("n_links", _I)]), _element_rows),
+         ("text", _S), ("media_ref", _S), ("n_links", _I)]), _element_rows, True),
     "cells": (pa.schema(
         [("doc_id", _S), ("page", _I), ("table_uid", _S), ("table_idx", _I),
-         ("row", _I), ("col", _I), ("text", _S), *_BBOX]), _cell_rows),
+         ("row", _I), ("col", _I), ("text", _S), *_BBOX]), _cell_rows, True),
     "links": (pa.schema(
         [("doc_id", _S), ("source_uid", _S), ("source_kind", _S),
          ("row", _I), ("col", _I), ("idx_start", _I), ("idx_stop", _I),
-         ("anchor", _S), ("target", _S)]), _link_rows),
+         ("anchor", _S), ("target", _S)]), _link_rows, True),
     "text_styles": (pa.schema(
         [("doc_id", _S), ("page", _I), ("box_idx", _I), ("line_idx", _I),
          ("word_idx", _I), ("word_text", _S),
-         *_style("word"), *_style("line"), *_style("box")]), _text_style_rows),
+         *_style("word"), *_style("line"), *_style("box")]), _text_style_rows,
+        False),
     "rect_styles": (pa.schema(
         [("doc_id", _S), ("page", _I), *_BBOX, *_RGB, ("text", _S)]),
-        _rect_style_rows),
+        _rect_style_rows, True),
     "file_meta": (pa.schema(
         [("doc_id", _S), ("file_identifier", _S),
          *((k, _S) for k in _META_FIELDS),
          ("creation_date", pa.timestamp("s")),
          ("modified_date", pa.timestamp("s")), ("trapped", pa.bool_()),
-         ("n_pages", _I)]), _file_meta_rows),
+         ("n_pages", _I)]), _file_meta_rows, False),
     "pages": (pa.schema(
         [("doc_id", _S), ("number", _I), ("width", _F), ("height", _F)]),
-        _page_rows),
+        _page_rows, False),
 }
 
 
 def view_batch(batch: pa.Table, name: str, cfg: PipelineConfig) -> pa.Table:
-    """Arrow batch of raw document rows → the ``name`` view's rows."""
-    schema, rows = VIEWS[name]
-    return pa.Table.from_pylist(
-        [r for doc in decode_sidecar_rows(batch) for r in rows(doc, cfg)],
-        schema=schema,
-    )
+    """Arrow batch of raw document rows → the ``name`` view's rows: one
+    decode per batch, one layout per document (none for a view whose rows
+    do not read ``elements``)."""
+    schema, rows, reads_elements = VIEWS[name]
+    out = []
+    for doc in decode_sidecar_rows(batch):
+        if doc.get("_decode_error"):
+            continue
+        elements = None
+        if reads_elements:
+            try:
+                elements = extract_document_full(doc, cfg)[1]
+            except Exception:  # noqa: BLE001 - poison doc, as in parse_batch
+                continue
+        out.extend(rows(doc, elements, cfg))
+    return pa.Table.from_pylist(out, schema=schema)
 
 
 def view_table(ds, name: str, cfg: PipelineConfig | None = None):

@@ -105,23 +105,24 @@ class TestSources:
 
 class TestMediaExport:
     def test_export_media_idempotent(self, ray_session, small_corpus_dir, tmp_path):
-        from libpdf_ray.pipelines.extract import extract_spans, read_corpus, spans_table
-        from libpdf_ray.state.media_store import export_media
+        """A second CLI run with ``--media-dir`` rewrites the same crop
+        files with the same bytes (deterministic names, atomic writes)."""
+        from libpdf_ray.__main__ import main
 
-        spans = spans_table(
-            extract_spans(read_corpus(small_corpus_dir), SMART_CROP_CONFIG)
-        )
         root = str(tmp_path / "media")
-        manifest = export_media(spans, root).to_pandas()
-        assert len(manifest) > 0
-        for path in manifest["path"]:
-            assert os.path.exists(path)
+
+        def crops():
+            return {p: open(p, "rb").read() for p in glob.glob(
+                os.path.join(root, "**", "*.*"), recursive=True)}
+
+        args = [small_corpus_dir, "--smart-page-crop", "--media-dir", root,
+                "--media-format", "both"]
+        assert main(args[:1] + ["-o", str(tmp_path / "a")] + args[1:]) == 0
+        first = crops()
+        assert first and all(p.endswith((".png", ".svg")) for p in first)
         # idempotent rerun: same refs, same paths, stable bytes
-        sizes = {p: os.path.getsize(p) for p in manifest["path"]}
-        manifest2 = export_media(spans, root).to_pandas()
-        assert sorted(manifest2["path"]) == sorted(manifest["path"])
-        for p, sz in sizes.items():
-            assert os.path.getsize(p) == sz
+        assert main(args[:1] + ["-o", str(tmp_path / "b")] + args[1:]) == 0
+        assert crops() == first
 
 
 def test_cli_end_to_end(small_corpus_dir, tmp_path):

@@ -118,14 +118,6 @@ class TestCanvas:
 
 
 class TestMediaSinks:
-    def test_label_card_is_real_png(self):
-        from libpdf_ray.state.media_store import _label_card_png
-
-        data = _label_card_png("media/doc1/page_1_figure.1.png")
-        arr = decode_png(data)
-        assert arr.shape[2] == 4 and arr.shape[0] > 50
-        assert data == _label_card_png("media/doc1/page_1_figure.1.png")
-
     def test_figure_crop_png_draws_content(self):
         from libpdf_ray.state.media_store import _figure_crop_png
 
@@ -163,12 +155,16 @@ class TestMediaSinks:
         """Write real crops, then decode them through the multimodal
         extractor — dims and channel stats come from the actual bytes."""
         from libpdf_ray.ops.multimodal import MediaFeatureExtractor
-        from libpdf_ray.state.media_store import _label_card_png
+        from libpdf_ray.state.media_store import _figure_crop_png
 
         ref = "media/d/fig.png"
         path = tmp_path / ref
         path.parent.mkdir(parents=True)
-        path.write_bytes(_label_card_png(ref))
+        path.write_bytes(_figure_crop_png(
+            (100.0, 100.0, 200.0, 180.0), [("Fig", 110.0, 110.0, 140.0, 120.0)],
+            [(100.0, 140.0, 200.0, 140.0)], [(105.0, 105.0, 195.0, 175.0)],
+            dpi=72,
+        ))
         out = MediaFeatureExtractor(media_root=str(tmp_path))(
             pd.DataFrame({"media_ref": [ref]})
         )
@@ -211,15 +207,19 @@ class TestMediaSinks:
     def test_crop_writer_png_over_real_pdf(self, ray_session, tmp_path):
         """End-to-end K2 on a REAL reference PDF: export 300-dpi raster
         crops for full_features.pdf and decode every written file."""
-        from libpdf_ray.stages.pdf_decoder import read_pdf_files
-        from libpdf_ray.state.media_store import export_media_png
+        from libpdf_ray.pipelines.extract import extract_spans
+        from libpdf_ray.stages.outputs import Outputs
+        from libpdf_ray.stages.pdf_decoder import PdfByteDecoder, read_pdf_files
 
         ds = read_pdf_files(
             ["/root/reference/tests/pdf/full_features.pdf"]
         )
-        manifest = export_media_png(ds, CFG, str(tmp_path)).to_pandas()
-        assert (manifest["error"] == "").all()
-        assert len(manifest) == 7  # the reference's 7 figures
+        rows = extract_spans(
+            ds, CFG, decoder=PdfByteDecoder(),
+            outputs=Outputs(media_dir=str(tmp_path), media_format="png"),
+        ).take_all()
+        assert [r["error"] for r in rows] == [""]
+        assert rows[0]["media_crops"] == 7  # the reference's 7 figures
         pngs = glob.glob(os.path.join(str(tmp_path), "**", "*.png"),
                          recursive=True)
         assert len(pngs) == 7

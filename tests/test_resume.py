@@ -105,3 +105,50 @@ def test_nested_corpus_every_reader_sees_every_doc(ray_session, tmp_path):
     assert main([corpus, "-o", cli, "--views", "file_meta"]) == 0
     assert doc_ids(os.path.join(cli, "part-*", "*.parquet")) == want
     assert doc_ids(os.path.join(cli, "views", "file_meta", "*.parquet")) == want
+
+
+def test_resume_covers_side_outputs(ray_session, small_corpus_dir, tmp_path):
+    """Views are written inside the partitions: a killed run resumes to the
+    same view rows as an uninterrupted one, and a resume that asks for an
+    output no manifest records reruns those partitions."""
+    import pyarrow.parquet as pq
+
+    from libpdf_ray.stages.outputs import Outputs
+
+    def views(out, *names):
+        return Outputs(views=names, views_dir=os.path.join(out, "views"))
+
+    def rows(out, name):
+        files = glob.glob(os.path.join(out, "views", name, "*.parquet"))
+        return sorted((r for f in files for r in pq.read_table(f).to_pylist()),
+                      key=repr)
+
+    full = str(tmp_path / "full")
+    run_resumable(small_corpus_dir, full, SMART_CROP_CONFIG,
+                  outputs=views(full, "elements", "file_meta"))
+
+    out = str(tmp_path / "out")
+    with pytest.raises(RuntimeError, match="injected failure"):
+        run_resumable(small_corpus_dir, out, SMART_CROP_CONFIG,
+                      fail_after_partitions=1,
+                      outputs=views(out, "elements", "file_meta"))
+    summary = run_resumable(small_corpus_dir, out, SMART_CROP_CONFIG,
+                            outputs=views(out, "elements", "file_meta"))
+    assert len(summary["skipped"]) == 1 and len(summary["ran"]) == 3
+    for name in ("elements", "file_meta"):
+        assert rows(out, name) == rows(full, name)
+    # a spans-only resume is covered by every manifest
+    assert run_resumable(small_corpus_dir, out, SMART_CROP_CONFIG)["ran"] == []
+
+    # "pages" is in no manifest: every partition reruns, nothing duplicates
+    summary = run_resumable(small_corpus_dir, out, SMART_CROP_CONFIG,
+                            outputs=views(out, "elements", "pages"))
+    assert len(summary["ran"]) == 4
+    assert rows(out, "elements") == rows(full, "elements")
+    doc_ids = {r["doc_id"] for r in rows(full, "file_meta")}
+    assert {r["doc_id"] for r in rows(out, "pages")} == doc_ids
+    spans = [i for f in glob.glob(os.path.join(out, "part-*", "*.parquet"))
+             for i in pq.read_table(f, columns=["doc_id"]).column("doc_id").to_pylist()]
+    assert sorted(spans) == sorted(doc_ids)
+    m = completed_partitions(out)["0000"]
+    assert m["outputs"] == views(out, "elements", "pages").keys()

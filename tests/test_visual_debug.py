@@ -42,66 +42,79 @@ def test_page_svg_geometry_and_colors():
     assert ch.find(f"{SVG_NS}title").text == "chapter.1"
 
 
+def _render(corpus, out, **kwargs):
+    """Parse ``corpus`` with visual-debug pages as the run's one side
+    output; returns the span rows (with their ``visual_debug_pages``)."""
+    from libpdf_ray.pipelines.extract import extract_spans, read_corpus
+    from libpdf_ray.stages.outputs import Outputs
+
+    return extract_spans(read_corpus(corpus), SMART_CROP_CONFIG,
+                         outputs=Outputs(visual_dir=out, **kwargs)).take_all()
+
+
+def _boxes(out):
+    """Element boxes drawn under ``out``: every SVG's rects minus its page."""
+    return sum(len(_rects(f)) - 1 for f in glob.glob(
+        os.path.join(out, "**", "*.svg"), recursive=True))
+
+
 def test_render_over_corpus(ray_session, tmp_path):
     from libpdf_ray.fixtures import write_corpus
     from libpdf_ray.pipelines.extract import read_corpus
-    from libpdf_ray.stages.elements import render_debug_svg
     from libpdf_ray.stages.views import view_table
 
     corpus = str(tmp_path / "corpus")
     out = str(tmp_path / "dbg")
     write_corpus(corpus, n_docs=8, seed=42, shards=2, skew_pages=6)
-    manifest = render_debug_svg(
-        read_corpus(corpus), SMART_CROP_CONFIG, out
-    ).to_pandas()
-    assert (manifest["error"] == "").all()
-    # one SVG per (doc, page), matching the manifest
+    rows = _render(corpus, out)
+    assert all(r["error"] == "" for r in rows)
+    # one SVG per (doc, page), and the rows count them
     files = glob.glob(os.path.join(out, "**", "*.svg"), recursive=True)
-    assert sorted(files) == sorted(manifest["path"])
+    pages = view_table(read_corpus(corpus), "pages").to_pandas()
+    assert sorted(files) == sorted(
+        os.path.join(out, d, f"libpdf_{n}.svg")
+        for d, n in zip(pages["doc_id"], pages["number"]))
+    assert sum(r["visual_debug_pages"] for r in rows) == len(files)
     # box count per page equals the elements view's per-page count
     els = view_table(read_corpus(corpus), "elements", SMART_CROP_CONFIG).to_pandas()
     per_page = els.groupby(["doc_id", "page"]).size()
-    for _, row in manifest.iterrows():
-        expect = int(per_page.get((row["doc_id"], row["page"]), 0))
-        assert row["n_boxes"] == expect
-        assert len(_rects(row["path"])) == expect + 1  # + page rect
+    for d, n in zip(pages["doc_id"], pages["number"]):
+        expect = int(per_page.get((d, n), 0))
+        assert len(_rects(os.path.join(out, d, f"libpdf_{n}.svg"))) == expect + 1
 
 
 def test_include_exclude_and_split(ray_session, tmp_path):
     from libpdf_ray.fixtures import write_corpus
-    from libpdf_ray.pipelines.extract import read_corpus
-    from libpdf_ray.stages.elements import render_debug_svg
+    from libpdf_ray.stages.elements import rendered_elements
 
     corpus = str(tmp_path / "corpus")
     write_corpus(corpus, n_docs=6, seed=42, shards=1, skew_pages=6)
 
-    only_ch = render_debug_svg(
-        read_corpus(corpus), SMART_CROP_CONFIG, str(tmp_path / "inc"),
-        include_elements=("chapter",),
-    ).to_pandas()
-    no_par = render_debug_svg(
-        read_corpus(corpus), SMART_CROP_CONFIG, str(tmp_path / "exc"),
-        exclude_elements=("paragraph",),
-    ).to_pandas()
-    full = render_debug_svg(
-        read_corpus(corpus), SMART_CROP_CONFIG, str(tmp_path / "all"),
-    ).to_pandas()
+    _render(corpus, str(tmp_path / "inc"),
+            visual_elements=rendered_elements(include=("chapter",)))
+    _render(corpus, str(tmp_path / "exc"),
+            visual_elements=rendered_elements(exclude=("paragraph",)))
+    full = _render(corpus, str(tmp_path / "all"))
+    only_ch, no_par, all_boxes = (_boxes(str(tmp_path / d))
+                                  for d in ("inc", "exc", "all"))
     # the 6-doc slice carries only chapters+paragraphs among rendered
     # types, so chapters-only and no-paragraphs may coincide
-    assert only_ch["n_boxes"].sum() <= no_par["n_boxes"].sum()
-    assert no_par["n_boxes"].sum() < full["n_boxes"].sum()
-    assert only_ch["n_boxes"].sum() < full["n_boxes"].sum()
+    assert only_ch <= no_par
+    assert no_par < all_boxes
+    assert only_ch < all_boxes
     ch_fill = "rgb(%d,%d,%d)" % DEBUG_RGBA["chapter"][:3]
-    for path in only_ch[only_ch["n_boxes"] > 0]["path"]:
-        fills = {r.get("fill") for r in _rects(path)} - {"white"}
-        assert fills == {ch_fill}
+    for path in glob.glob(str(tmp_path / "inc" / "**" / "*.svg"), recursive=True):
+        if len(_rects(path)) > 1:
+            fills = {r.get("fill") for r in _rects(path)} - {"white"}
+            assert fills == {ch_fill}
 
-    split = render_debug_svg(
-        read_corpus(corpus), SMART_CROP_CONFIG, str(tmp_path / "split"),
-        split_elements=True,
-    ).to_pandas()
+    split = _render(corpus, str(tmp_path / "split"), visual_split=True)
     # one file per (doc, page, TYPE): 5x the page count
-    assert len(split) == 5 * len(full)
+    n_split = len(glob.glob(str(tmp_path / "split" / "**" / "*.svg"), recursive=True))
+    n_full = len(glob.glob(str(tmp_path / "all" / "**" / "*.svg"), recursive=True))
+    assert n_split == 5 * n_full
+    assert sum(r["visual_debug_pages"] for r in split) == n_split
+    assert sum(r["visual_debug_pages"] for r in full) == n_full
     for t in RENDER_ELEMENTS:
         assert glob.glob(str(tmp_path / "split" / "*" / t / "*.svg"))
 
@@ -127,32 +140,68 @@ class TestVectorCropExport:
 
     def test_svg_crops_match_figure_spans(self, ray_session, tmp_path):
         from libpdf_ray.fixtures import write_corpus
-        from libpdf_ray.pipelines.extract import (extract_spans, read_corpus,
-                                                  spans_table)
-        from libpdf_ray.state.media_store import export_media_svg
+        from libpdf_ray.kernels.document import extract_document_full
+        from libpdf_ray.pipelines.extract import (PARSE_COLUMNS, extract_spans,
+                                                  read_corpus, spans_table)
+        from libpdf_ray.stages.decoder import decode_sidecar_rows
+        from libpdf_ray.stages.outputs import Outputs
 
         corpus = str(tmp_path / "corpus")
         media = str(tmp_path / "media")
         write_corpus(corpus, n_docs=16, seed=42, shards=2, skew_pages=6)
-        manifest = export_media_svg(
-            read_corpus(corpus), SMART_CROP_CONFIG, media
-        ).to_pandas()
-        assert (manifest["error"] == "").all()
+        rows = extract_spans(
+            read_corpus(corpus), SMART_CROP_CONFIG,
+            outputs=Outputs(media_dir=media, media_format="svg"),
+        ).take_all()
+        assert all(r["error"] == "" for r in rows)
         # exactly one crop per figure span media_ref
         spans = spans_table(
             extract_spans(read_corpus(corpus), SMART_CROP_CONFIG)
         ).to_pandas()
         fig_refs = set(spans[spans["kind"] == "figure"]["media_ref"])
-        assert set(manifest["media_ref"]) == fig_refs
-        assert len(manifest) == len(fig_refs)
-        for _, row in manifest.iterrows():
-            root = ET.parse(row["path"]).getroot()
-            assert root.tag == f"{SVG_NS}svg"
-            texts = root.findall(f"{SVG_NS}text")
-            assert len(texts) == row["n_words"]
-            shapes = (len(root.findall(f"{SVG_NS}line"))
-                      + len(root.findall(f"{SVG_NS}rect")) - 1)  # - page rect
-            assert shapes == row["n_shapes"]
+        files = glob.glob(os.path.join(media, "**", "*.svg"), recursive=True)
+        assert {os.path.relpath(f, media)[:-4] + ".png" for f in files} == fig_refs
+        assert len(files) == len(fig_refs) == sum(r["media_crops"] for r in rows)
+        # each crop draws exactly its figure's words / segments / rects,
+        # counted here from the RAW sidecar rows (not the decoder's tables)
+        import pyarrow.parquet as pq
+
+        def inside(bb, x0, y0, x1, y1):
+            return x0 >= bb[0] and y0 >= bb[1] and x1 <= bb[2] and y1 <= bb[3]
+
+        n_crops = n_texts = 0
+        for f in sorted(glob.glob(os.path.join(corpus, "*.parquet"))):
+            table = pq.read_table(f, columns=PARSE_COLUMNS)
+            raw = {r["doc_id"]: r for r in table.to_pylist()}
+            for doc in decode_sidecar_rows(table):
+                _, elements = extract_document_full(doc, SMART_CROP_CONFIG)
+                r = raw[doc["doc_id"]]
+                for fig in elements:
+                    if fig["etype"] != "figure" or not fig.get("media_ref"):
+                        continue
+                    bb = (fig["x0"], fig["y0"], fig["x1"], fig["y1"])
+                    on_page = [x for x in (r["segments"] or []) + (r["rects"] or [])
+                               if x["page"] == fig["page"]]
+                    n_words = sum(
+                        inside(bb, w["x0"], w["y0"], w["x1"], w["y1"])
+                        for tb in r["textboxes"] or [] if tb["page"] == fig["page"]
+                        for w in (tb["words"] or tb["chars"] or []))
+                    n_shapes = sum(
+                        inside(bb, min(s["x0"], s["x1"]), min(s["y0"], s["y1"]),
+                               max(s["x0"], s["x1"]), max(s["y0"], s["y1"]))
+                        for s in on_page)
+                    path = os.path.join(media, fig["media_ref"][:-4] + ".svg")
+                    root = ET.parse(path).getroot()
+                    assert root.tag == f"{SVG_NS}svg"
+                    texts = root.findall(f"{SVG_NS}text")
+                    assert len(texts) == n_words, path
+                    shapes = (len(root.findall(f"{SVG_NS}line"))
+                              + len(root.findall(f"{SVG_NS}rect")) - 1)  # - page rect
+                    assert shapes == n_shapes, path
+                    n_crops += 1
+                    n_texts += len(texts)
+        assert n_crops == len(files)
+        assert n_texts > 0  # figure captions/labels really are drawn
 
     def test_crop_geometry_translates_to_origin(self):
         from libpdf_ray.state.media_store import _figure_crop_svg

@@ -77,8 +77,8 @@ def test_misalignment_raises():
 
 
 def test_distributed_yaml_dump_and_cli(ray_session, tmp_path):
-    """dump_yaml writes one parseable tree per doc; the CLI --format yaml
-    path round-trips to the same spans as the extraction kernel."""
+    """The CLI --format yaml run writes one parseable tree per doc from the
+    parse pass, and each round-trips to the extraction kernel's spans."""
     import json
 
     from libpdf_ray.__main__ import main
