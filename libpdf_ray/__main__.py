@@ -44,8 +44,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "both: the pair side by side")
     p.add_argument("--num-cpus", type=int, default=0, help="0 = let Ray decide")
     p.add_argument("--batch-size", type=int, default=64)
-    p.add_argument("--files-per-partition", type=int, default=1,
-                   help="input shards per resume partition")
     p.add_argument("--views", default="", metavar="V1,V2",
                    help="also export relational views (any of: elements, "
                         "cells, links, file_meta, pages, text_styles, "
@@ -96,7 +94,7 @@ def main(argv=None) -> int:
         ray.init(**init_kwargs)
 
     from libpdf_ray.config import PipelineConfig
-    from libpdf_ray.pipelines.checkpoint import run_resumable
+    from libpdf_ray.pipelines.checkpoint import ConfigMismatch, run_resumable
 
     page_crop = (
         tuple(float(v) for v in args.page_crop.split(","))
@@ -161,6 +159,11 @@ def main(argv=None) -> int:
     sum_cols = ("n_spans",) + (COUNT_COLUMNS if outputs else ())
 
     def parse_plan():
+        if args.input_format == "html":
+            from libpdf_ray.ops.html import html_spans_batch, read_html_files
+
+            return read_html_files(args.input_dir).map_batches(
+                html_spans_batch, batch_format="pyarrow", batch_size=args.batch_size)
         if args.input_format == "pdf":
             from libpdf_ray.pipelines.extract import extract_spans
             from libpdf_ray.stages.pdf_decoder import PdfByteDecoder, read_pdf_files
@@ -171,42 +174,28 @@ def main(argv=None) -> int:
 
         return extract_spans_fused(args.input_dir, cfg, outputs)
 
-    def counted(totals):
-        return {"documents": totals["documents"], "errors": totals["errors"],
-                "spans": totals["n_spans"], "output": args.output}
-
-    # run summaries are reduced IN-STREAM (one totals dict per task) —
-    # never a per-document driver DataFrame
-    if args.format == "yaml":
-        # reference parity mode: one nested YAML tree per document
-        # (libpdf/process.py:131-186); the parse pass is only summed
-        from libpdf_ray.pipelines.summary import manifest_summary
-
-        totals = manifest_summary(parse_plan(), sum_cols=sum_cols)
-        summary = {"format": "yaml", **counted(totals)}
-    elif args.input_format in ("pdf", "html"):
-        # real-file corpus: stream spans straight to partitioned parquet
-        # (resume manifests are a parquet-shard concept; PDF/HTML runs
-        # re-read only the source files, which is the whole job)
+    # run summaries are reduced IN-STREAM (one totals dict per task or per
+    # partition) — never a per-document driver DataFrame
+    if args.format == "yaml" or args.input_format != "sidecar":
+        # yaml (reference parity, libpdf/process.py:131-186): the parse pass
+        # writes one YAML tree per document and is only summed.  PDF/HTML:
+        # spans stream straight to parquet (resume manifests are a
+        # parquet-shard concept)
         from libpdf_ray.pipelines.summary import write_spans
 
-        if args.input_format == "html":
-            from libpdf_ray.ops.html import html_spans_batch, read_html_files
-
-            spans_ds = read_html_files(args.input_dir).map_batches(
-                html_spans_batch, batch_format="pyarrow",
-                batch_size=args.batch_size,
-            )
-        else:
-            spans_ds = parse_plan()
-        totals = write_spans(spans_ds, os.path.join(args.output, "spans"), sum_cols)
-        summary = counted(totals)
+        yaml = args.format == "yaml"
+        totals = write_spans(parse_plan(), "" if yaml else
+                             os.path.join(args.output, "spans"), sum_cols)
+        summary = {"format": "yaml"} if yaml else {}
     else:
-        totals = run_resumable(
-            args.input_dir, args.output, cfg,
-            files_per_partition=args.files_per_partition, outputs=outputs,
-        )
+        try:
+            totals = run_resumable(args.input_dir, args.output, cfg, outputs=outputs)
+        except ConfigMismatch as exc:
+            print(exc, file=sys.stderr)
+            return 2
         summary = {k: totals[k] for k in ("ran", "skipped", "total_partitions")}
+    summary.update(documents=totals["documents"], errors=totals["errors"],
+                   spans=totals["n_spans"], output=args.output)
     if view_names:
         summary["views"] = view_names
     if args.visual_debug:

@@ -15,8 +15,9 @@ Scale design (north rule):
   never stalls the others, and Ray's block splitting bounds memory; a
   manual too long for one worker takes the page-range split
   (``pipelines.split``);
-- output is partitioned parquet (one file per input shard — the resume unit,
-  see ``pipelines.checkpoint``).
+- output is partitioned parquet, one file per input row group: the
+  resumable run commits each row group's span file and manifest from the
+  task that parsed it (``pipelines.checkpoint``).
 """
 
 from __future__ import annotations
@@ -124,39 +125,38 @@ def read_fragment(item: dict, columns=PARSE_COLUMNS):
     )
 
 
-def extract_spans_fused(paths, cfg: PipelineConfig | None = None, outputs=None):
+def extract_spans_fused(paths, cfg: PipelineConfig | None = None, outputs=None,
+                        commit=None):
     """Read+parse FUSED into one task per parquet row group.
 
-    The separate ReadParquet → MapBatches plan ships every raw block
-    (word-struct payloads are the bulk of the bytes) through the object
-    store between the two operators; fusing the read into the parse task
-    reads each fragment locally and only the compact span output enters
-    the object store.  Measured on the 4200-doc bench corpus at 4 CPUs:
-    88.9 s (unfused, 1 row group/file) → 73.5 s (unfused, aligned row
-    groups) → 65.5 s fused, vs a 57.7 s no-Ray multiprocessing floor.
+    Fusing the read into the parse task reads each fragment locally, so
+    only the compact span output enters the object store, not the raw
+    word payloads.  Measured on the 4200-doc bench corpus at 4 CPUs:
+    73.5 s unfused (aligned row groups) → 65.5 s fused, vs a 57.7 s no-Ray
+    multiprocessing floor.  Trade-offs: no reader-level predicate pushdown,
+    and fragment granularity is the corpus' row-group size (keep
+    ``row_group_size ≈ parse_batch_size``, the fixtures.write_corpus
+    default); column pruning is kept.
 
-    Trade-offs (why this is not the default API path): no reader-level
-    predicate pushdown or stats, and fragment granularity is fixed at the
-    corpus' row-group size — keep writing corpora with
-    ``row_group_size ≈ parse_batch_size`` (fixtures.write_corpus default).
-    Column pruning is preserved (``read_row_group(columns=...)``).
-
+    ``paths`` may also be a :func:`list_fragments` list the caller has
+    already listed (and filtered), so no footer is read twice.
     ``outputs`` (``stages/outputs.py:Outputs``) adds the side files each
     parse task writes; such a run also reads ``meta`` (``file_meta``).
+    ``commit(item, spans, wall_s)`` is called in the task with each
+    fragment's span table as soon as it is parsed; the Dataset then holds
+    the dicts it returns (one row per fragment) instead of the span rows
+    (``pipelines/checkpoint.py``).
     """
+    import time
+
     import pyarrow as pa
 
     cfg = cfg or PipelineConfig()
-    items = list_fragments(paths)
+    items = paths if paths and isinstance(paths[0], dict) else list_fragments(paths)
 
-    # coalesce fragments toward ~2 task waves per CPU.  Round 3 kept
-    # ≥3 waves because heavy fragment groups became straggler tails
-    # (44 tasks at 32 CPUs regressed 9.6 → 11.9 s on the pre-speedup
-    # kernel); the round-4 kernel cut per-task wall ~10× so dispatch
-    # overhead now dominates and fragments are near-uniform (families
-    # interleave per doc index: measured max/mean task wall = 2.0).
-    # Re-swept at 32 CPUs on the bench corpus: 1/2/3/4 frags per task
-    # = 1.97/1.66/1.61/1.69 s — 2-3 wins, cap 4 unchanged.
+    # coalesce fragments toward ~2 task waves per CPU: dispatch overhead
+    # dominates the per-fragment parse.  Swept at 32 CPUs on the bench
+    # corpus: 1/2/3/4 frags per task = 1.97/1.66/1.61/1.69 s.
     from ..ops.util import cluster_cpus
 
     per = round(len(items) / max(1, 2 * cluster_cpus()))
@@ -164,11 +164,14 @@ def extract_spans_fused(paths, cfg: PipelineConfig | None = None, outputs=None):
 
     columns = PARSE_COLUMNS + ["meta"] if outputs else PARSE_COLUMNS
 
+    def run(item: dict):
+        t0 = time.perf_counter()
+        spans = parse_batch(read_fragment(item, columns), cfg, outputs=outputs)
+        return commit(item, spans, time.perf_counter() - t0) if commit else spans
+
     def read_and_parse(batch: pa.Table) -> pa.Table:
-        return pa.concat_tables(
-            [parse_batch(read_fragment(item, columns), cfg, outputs=outputs)
-             for item in batch.to_pylist()]
-        )
+        done = [run(item) for item in batch.to_pylist()]
+        return pa.Table.from_pylist(done) if commit else pa.concat_tables(done)
 
     return ray.data.from_items(
         items, override_num_blocks=max(1, len(items))

@@ -89,13 +89,18 @@ def write_table(out_dir: str, table: pa.Table, source: str) -> None:
     task, or a resumed partition, rewrites the same file; two inputs that
     give byte-identical tables (one PDF copied into two directories) still
     write two files."""
+    payload = parquet_bytes(table)
+    digest = hashlib.sha1(source.encode("utf-8") + b"\0" + payload)
+    write_file(os.path.join(out_dir, digest.hexdigest()[:16] + ".parquet"), payload)
+
+
+def parquet_bytes(table: pa.Table) -> bytes:
+    """``table`` as the bytes of one parquet file."""
     import pyarrow.parquet as pq
 
     sink = pa.BufferOutputStream()
     pq.write_table(table, sink)
-    payload = sink.getvalue().to_pybytes()
-    digest = hashlib.sha1(source.encode("utf-8") + b"\0" + payload)
-    write_file(os.path.join(out_dir, digest.hexdigest()[:16] + ".parquet"), payload)
+    return sink.getvalue().to_pybytes()
 
 
 def write_doc_outputs(doc: dict, spans: list, elements: list, cfg,

@@ -152,6 +152,14 @@ def test_cli_end_to_end(small_corpus_dir, tmp_path):
     assert summary["total_partitions"] == 4
     assert len(summary["ran"]) == 4
     assert glob.glob(os.path.join(out, "_manifest", "*.json"))
+    # the run's counts, summed from its per-partition totals
+    import pyarrow.parquet as pq
+
+    rows = [r for f in glob.glob(os.path.join(out, "part-*", "*.parquet"))
+            for r in pq.read_table(f, columns=["n_spans", "error"]).to_pylist()]
+    assert (summary["documents"], summary["errors"], summary["spans"]) == (
+        36, 0, sum(r["n_spans"] for r in rows))
+    assert summary["spans"] > 0 and not any(r["error"] for r in rows)
 
 
 def test_static_page_crop():
