@@ -10,6 +10,10 @@ Public surface:
 - :func:`libpdf_ray.pipelines.extract.read_corpus` /
   :func:`~libpdf_ray.pipelines.extract.extract_spans` — the flagship
   read → parse → spans pipeline (the analog of ``libpdf.load()``).
+- :func:`libpdf_ray.pipelines.checkpoint.run_resumable` — the one plan
+  the CLI runs for every input format (sidecar parquet, PDF, HTML) and
+  output mode: span parquet or YAML trees plus side outputs, committed
+  per work item with a manifest, so a killed run resumes.
 - :mod:`libpdf_ray.kernels` — the pure per-document extraction semantics
   (unit-testable without Ray).
 - :mod:`libpdf_ray.ops` — dataset-level operators for large-scale

@@ -2,10 +2,15 @@
 
 The engine analog of ``python -m libpdf <pdf> -o out.yaml``
 (/root/reference/libpdf/core.py:281-533): same feature toggles, but the unit
-of work is a corpus directory of sidecar parquet shards and the output is
-partitioned span parquet with resume manifests.
+of work is a corpus directory (sidecar parquet shards, PDF files or HTML
+pages) and every run is ONE resumable plan
+(``pipelines/checkpoint.py:run_resumable``): span parquet (or, with
+``-f yaml``, one YAML tree per document) plus the asked-for side outputs,
+committed per work item with a manifest, so a rerun of a killed run
+parses only what was not committed.
 
-The CLI owns the Ray session (library code never calls ray.init).
+The CLI starts a Ray session when none is up and shuts down only the one
+it started (library code never calls ray.init).
 """
 
 from __future__ import annotations
@@ -13,6 +18,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+
+#: the ``--no-<element>`` switches, each the ``PipelineConfig`` field ``no_<element>``
+NO_FLAGS = ("annotations", "chapters", "paragraphs", "tables", "figures", "rects")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -34,7 +42,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--smart-page-crop", action="store_true")
     p.add_argument("--page-crop", default="", metavar="T,B,L,R",
                    help="static crop margins in points (top,bottom,left,right)")
-    for flag in ("annotations", "chapters", "paragraphs", "tables", "figures", "rects"):
+    for flag in NO_FLAGS:
         p.add_argument(f"--no-{flag}", action="store_true")
     p.add_argument("--media-dir", default="", help="also export figure media objects")
     p.add_argument("--media-format", default="png",
@@ -65,9 +73,9 @@ def build_parser() -> argparse.ArgumentParser:
                    metavar="T1,T2", help="render all but these element types")
     p.add_argument("-f", "--format", default="parquet",
                    choices=("parquet", "yaml"),
-                   help="parquet (default): partitioned span parquet with "
-                        "resume manifests; yaml: one nested object tree per "
-                        "document (reference parity with "
+                   help="parquet (default): span parquet under "
+                        "<output>/part-*/; yaml: one nested object tree per "
+                        "document instead (reference parity with "
                         "'python -m libpdf -f yaml')")
     return p
 
@@ -77,42 +85,10 @@ def main(argv=None) -> int:
 
     import os
 
-    import ray
-
-    # the north-rule deployment shape is `ray job submit` onto a fixed
-    # multi-node cluster: honor RAY_ADDRESS (job submission sets it to the
-    # cluster address) and only default to a local session when unset —
-    # hardcoding "local" would silently hijack a cluster run onto one node
-    init_kwargs = dict(
-        address=os.environ.get("RAY_ADDRESS", "local"),
-        include_dashboard=False, ignore_reinit_error=True,
-        logging_level="ERROR",
-    )
-    if args.num_cpus:
-        init_kwargs["num_cpus"] = args.num_cpus
-    if not ray.is_initialized():
-        ray.init(**init_kwargs)
-
     from libpdf_ray.config import PipelineConfig
     from libpdf_ray.pipelines.checkpoint import ConfigMismatch, run_resumable
-
-    page_crop = (
-        tuple(float(v) for v in args.page_crop.split(","))
-        if args.page_crop
-        else (0.0, 0.0, 0.0, 0.0)
-    )
-    cfg = PipelineConfig(
-        page_range=args.page_range,
-        page_crop=page_crop,
-        smart_page_crop=args.smart_page_crop,
-        no_annotations=args.no_annotations,
-        no_chapters=args.no_chapters,
-        no_paragraphs=args.no_paragraphs,
-        no_tables=args.no_tables,
-        no_figures=args.no_figures,
-        no_rects=args.no_rects,
-        parse_batch_size=args.batch_size,
-    )
+    from libpdf_ray.stages.elements import rendered_elements
+    from libpdf_ray.stages.outputs import Outputs
     from libpdf_ray.stages.views import VIEWS
 
     def names(csv):
@@ -135,9 +111,16 @@ def main(argv=None) -> int:
               "(no yaml/views/visual-debug/media modes)", file=sys.stderr)
         return 2
 
-    from libpdf_ray.stages.elements import rendered_elements
-    from libpdf_ray.stages.outputs import COUNT_COLUMNS, Outputs
-
+    page_crop = (
+        tuple(float(v) for v in args.page_crop.split(","))
+        if args.page_crop
+        else (0.0, 0.0, 0.0, 0.0)
+    )
+    cfg = PipelineConfig(
+        page_range=args.page_range, page_crop=page_crop,
+        smart_page_crop=args.smart_page_crop, parse_batch_size=args.batch_size,
+        **{f"no_{flag}": getattr(args, f"no_{flag}") for flag in NO_FLAGS},
+    )
     # every output of the run comes from ONE parse pass per document: the
     # parse task that builds a document's spans also writes its view rows,
     # YAML tree, visual-debug pages and figure crops (stages/outputs.py)
@@ -156,46 +139,33 @@ def main(argv=None) -> int:
         media_format=args.media_format,
     )
     outputs = outputs if outputs.keys() else None
-    sum_cols = ("n_spans",) + (COUNT_COLUMNS if outputs else ())
 
-    def parse_plan():
-        if args.input_format == "html":
-            from libpdf_ray.ops.html import html_spans_batch, read_html_files
+    import ray
 
-            return read_html_files(args.input_dir).map_batches(
-                html_spans_batch, batch_format="pyarrow", batch_size=args.batch_size)
-        if args.input_format == "pdf":
-            from libpdf_ray.pipelines.extract import extract_spans
-            from libpdf_ray.stages.pdf_decoder import PdfByteDecoder, read_pdf_files
-
-            return extract_spans(read_pdf_files(args.input_dir), cfg,
-                                 decoder=PdfByteDecoder(), outputs=outputs)
-        from libpdf_ray.pipelines.extract import extract_spans_fused
-
-        return extract_spans_fused(args.input_dir, cfg, outputs)
-
-    # run summaries are reduced IN-STREAM (one totals dict per task or per
-    # partition) — never a per-document driver DataFrame
-    if args.format == "yaml" or args.input_format != "sidecar":
-        # yaml (reference parity, libpdf/process.py:131-186): the parse pass
-        # writes one YAML tree per document and is only summed.  PDF/HTML:
-        # spans stream straight to parquet (resume manifests are a
-        # parquet-shard concept)
-        from libpdf_ray.pipelines.summary import write_spans
-
-        yaml = args.format == "yaml"
-        totals = write_spans(parse_plan(), "" if yaml else
-                             os.path.join(args.output, "spans"), sum_cols)
-        summary = {"format": "yaml"} if yaml else {}
-    else:
-        try:
-            totals = run_resumable(args.input_dir, args.output, cfg, outputs=outputs)
-        except ConfigMismatch as exc:
-            print(exc, file=sys.stderr)
-            return 2
-        summary = {k: totals[k] for k in ("ran", "skipped", "total_partitions")}
-    summary.update(documents=totals["documents"], errors=totals["errors"],
-                   spans=totals["n_spans"], output=args.output)
+    # the north-rule deployment shape is `ray job submit` onto a fixed
+    # multi-node cluster: honor RAY_ADDRESS (job submission sets it to the
+    # cluster address) and only default to a local session when unset —
+    # hardcoding "local" would silently hijack a cluster run onto one node.
+    # A caller's session is used as it is and left running.
+    started = not ray.is_initialized()
+    if started:
+        ray.init(address=os.environ.get("RAY_ADDRESS", "local"),
+                 include_dashboard=False, logging_level="ERROR",
+                 **({"num_cpus": args.num_cpus} if args.num_cpus else {}))
+    try:
+        # one plan for every input format and output mode; the summary is
+        # reduced in-stream (one totals dict per committed item)
+        totals = run_resumable(args.input_dir, args.output, cfg, outputs,
+                               args.input_format)
+    except ConfigMismatch as exc:
+        print(exc, file=sys.stderr)
+        return 2
+    finally:
+        if started:
+            ray.shutdown()
+    summary = {k: totals[k] for k in
+               ("ran", "skipped", "total_partitions", "documents", "errors")}
+    summary.update(spans=totals["n_spans"], output=args.output)
     if view_names:
         summary["views"] = view_names
     if args.visual_debug:
@@ -203,7 +173,6 @@ def main(argv=None) -> int:
     if args.media_dir:
         summary["media_crops"] = totals["media_crops"]
     print(json.dumps(summary))
-    ray.shutdown()
     return 0
 
 

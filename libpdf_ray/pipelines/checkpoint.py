@@ -1,24 +1,20 @@
-"""Resumable runs: one streaming plan that commits per row-group partition.
+"""Resumable runs: ONE streaming plan per run that commits per work item,
+for every input format (sidecar parquet, PDF files, HTML files).
 
 Ray Data has no pipeline checkpointing (SURVEY §4.2), so a killed run
-resumes from the output layout:
-
-- a *partition* is one row group of one input shard, listed once on the
-  driver (``extract.list_fragments``, heaviest first);
-- ONE Ray plan parses every partition not yet committed.  The task that
-  parses a partition commits it at once: its span file
-  ``out_dir/part-<shard>/rg-<row group>.parquet``, then its manifest
-  ``out_dir/_manifest/part-<shard>-<row group>.json`` (lineage, the output
-  config, the side outputs its parse wrote — ``stages/outputs.py`` — and
-  docs/errors/spans/side-output counts and wall time), each tmp + rename
-  under a name fixed by the partition, so a rerun replaces what a killed
-  attempt left;
-- resume = list manifests, drop each partition whose manifest covers every
-  output the run asks for, run one plan over the rest (none when nothing
-  is left).  Output written with another config is refused.
-
-No barrier sits between partitions, and nothing per-document reaches the
-driver: the plan's rows are one totals dict per partition.
+resumes from the output layout.  The driver lists every input once
+(``extract.list_inputs``: a sidecar row group or one file, identified by
+its relative path, never a list index) and groups them into items
+(``extract.group_items``).  The task that parses an item commits it at
+once: its span file ``part-<part id>/spans.parquet`` (none for a
+``-f yaml`` run), then ``_manifest/part-<part id>.json`` (its inputs, the
+parquet files it wrote, the config, the output keys, counts and wall
+time), each tmp + rename under names taken from the item's inputs
+(``extract.part_id``), so a retried task overwrites its own files.  A
+rerun keeps the covering manifests, removes everything else
+(:func:`_resume`) and runs one plan over the inputs left, none when
+nothing is.  No barrier sits between items, and nothing per-document
+reaches the driver: the plan's rows are one totals dict per item.
 """
 
 from __future__ import annotations
@@ -30,16 +26,13 @@ import json
 import os
 import time
 
+import pyarrow.compute as pc
+
 from ..config import PipelineConfig
 from ..ops.util import list_files
 from ..schema import SPANS_SCHEMA
-from ..stages.outputs import COUNT_COLUMNS, parquet_bytes, write_file
-from .extract import extract_spans_fused, list_fragments
-from .summary import table_totals
-
-#: run-summary total → the manifest field that records it
-_MANIFEST_FIELD = {"documents": "n_docs", "errors": "n_errors"}
-
+from ..stages.outputs import COUNT_COLUMNS, parquet_bytes, view_file, write_file
+from .extract import extract_spans_fused, group_items, input_ids, list_inputs, part_id
 
 class ConfigMismatch(ValueError):
     """The output directory holds partitions written with another config."""
@@ -47,6 +40,10 @@ class ConfigMismatch(ValueError):
 
 def _manifest_dir(out_dir: str) -> str:
     return os.path.join(out_dir, "_manifest")
+
+
+def _manifest_path(out_dir: str, part: str) -> str:
+    return os.path.join(_manifest_dir(out_dir), f"part-{part}.json")
 
 
 def completed_partitions(out_dir: str) -> dict:
@@ -69,7 +66,7 @@ def write_manifest(out_dir: str, manifest: dict) -> None:
     """Atomic write: tmp file + rename, so a killed run can never leave a
     half manifest that claims completion."""
     os.makedirs(_manifest_dir(out_dir), exist_ok=True)
-    final = os.path.join(_manifest_dir(out_dir), f"part-{manifest['part_id']}.json")
+    final = _manifest_path(out_dir, manifest["part_id"])
     tmp = final + ".tmp"
     with open(tmp, "w") as fh:
         json.dump(manifest, fh, indent=1, sort_keys=True)
@@ -79,58 +76,46 @@ def write_manifest(out_dir: str, manifest: dict) -> None:
 
 
 def plan_partitions(input_dir: str) -> list:
-    """Input shards → [(shard id, [file]), ...]; the shards are listed like
-    every sidecar reader lists them (:func:`ops.util.list_files`:
-    recursive, sorted).  Each row group of a shard is one partition of
-    :func:`run_resumable`."""
+    """Sidecar shards → ``[(shard id, [file]), ...]``, listed like every
+    sidecar reader lists them (:func:`ops.util.list_files`: recursive,
+    sorted), each id named from the shard's input identity
+    (``extract.part_id``).  The in-process replay of ``perfbench`` commits
+    per shard under these ids."""
     files = list_files(input_dir, (".parquet",))
-    return [(f"{i:04d}", [f]) for i, f in enumerate(files)]
+    return [(part_id([i]), [f]) for i, f in zip(input_ids(input_dir, files), files)]
 
 
-def _commit(out_dir: str, manifest: dict, sum_cols: tuple, item: dict,
+def _commit(out_dir: str, run: dict, sum_cols: tuple, outputs, item: dict,
             spans, wall_s: float) -> dict:
-    """Commit one parsed partition from its parse task: the span file, then
-    the manifest.  Returns the partition's totals."""
-    path = os.path.join(out_dir, f"part-{item['shard']}", f"rg-{item['rg']:04d}.parquet")
-    write_file(path, parquet_bytes(spans.select(SPANS_SCHEMA.names)))
-    totals = table_totals(spans, sum_cols)
+    """Commit one parsed item from its parse task: the span file (when the
+    run asks for it), then the manifest.  Returns the item's totals."""
+    part = item["part_id"]
+    # the parse task wrote a view file for every view with rows
+    files = [f for f in (view_file(outputs, v, part) for v in
+                         (outputs.views if outputs else ())) if os.path.exists(f)]
+    if "spans" in run["outputs"]:
+        files.insert(0, os.path.join(out_dir, f"part-{part}", "spans.parquet"))
+        write_file(files[0], parquet_bytes(spans.select(SPANS_SCHEMA.names)))
+    totals = {"documents": spans.num_rows,
+              "errors": pc.sum(pc.not_equal(spans["error"], "")).as_py() or 0,
+              **{c: pc.sum(spans[c]).as_py() or 0 for c in sum_cols}}
     write_manifest(out_dir, {
-        **manifest,
-        "part_id": item["part_id"],
-        "input_file": item["path"],  # lineage
-        "row_group": item["rg"],
-        "output_file": path,
-        **{_MANIFEST_FIELD.get(k, k): v for k, v in totals.items()},  # metrics
-        "wall_time_s": round(wall_s, 3),
+        **run, "part_id": part, "inputs": item["inputs"],  # lineage
+        "files": [os.path.relpath(f, out_dir) for f in files],
+        **totals, "wall_time_s": round(wall_s, 3),  # metrics
         "attempt_finished_at": time.time(),
     })
-    return {"part_id": item["part_id"], **totals}
+    return {"part_id": part, **totals}
 
 
-def run_resumable(
-    input_dir: str,
-    out_dir: str,
-    cfg: PipelineConfig | None = None,
-    outputs=None,
-) -> dict:
-    """Parse every partition of ``input_dir`` not yet committed under
-    ``out_dir`` in ONE Ray plan.  Returns ``{"ran", "skipped",
-    "total_partitions", "documents", "errors", "n_spans", ...}``, the
-    totals summed from the plan's per-partition rows and the skipped
-    partitions' manifests.
-
-    ``outputs`` (``stages/outputs.py:Outputs``) adds the side files the
-    parse tasks write (views, YAML, visual-debug pages, figure crops).  A
-    partition is skipped only when its manifest lists every output key the
-    run asks for; the totals then also carry ``visual_debug_pages`` /
-    ``media_crops``, completed partitions included.
-
-    Raises :class:`ConfigMismatch` (a ``ValueError``) when ``out_dir``
-    holds manifests written with another output config.
-    """
-    # the fields that shape output (all but the batch size), as JSON values
-    config = json.loads(json.dumps(dataclasses.asdict(cfg or PipelineConfig())))
-    del config["parse_batch_size"]
+def _resume(out_dir: str, config: dict, keys: list, inputs: set,
+            outputs) -> list:
+    """The manifests this run keeps: written with ``config``, covering every
+    output key in ``keys`` and listing only current ``inputs``.  Every
+    other manifest is removed with the parquet files it wrote, then every
+    parquet file (or its ``.tmp``) under ``part-*/`` or a views directory
+    that no kept manifest names.  Raises :class:`ConfigMismatch`
+    (before removing anything) when a manifest has another config."""
     done = completed_partitions(out_dir)
     for m in done.values():
         recorded = m.get("config")
@@ -141,29 +126,70 @@ def run_resumable(
                 f"{out_dir} holds output written with another config "
                 f"(differs in: {', '.join(differ)}); write to a new "
                 "directory or remove it first")
-    wanted = outputs.keys() if outputs else []
-    sum_cols = ("n_spans",) + (COUNT_COLUMNS if outputs else ())
-    shards = {files[0]: part_id for part_id, files in plan_partitions(input_dir)}
-    units = list_fragments(list(shards))
-    totals = dict.fromkeys(("documents", "errors") + sum_cols, 0)
-    todo, skipped = [], []
-    for u in units:
-        u["shard"] = shards[u["path"]]
-        u["part_id"] = f"{u['shard']}-{u['rg']:04d}"
-        manifest = done.get(u["part_id"])
-        if manifest and set(wanted) <= set(manifest["outputs"]):
-            skipped.append(u["part_id"])
-            for k in totals:
-                totals[k] += manifest[_MANIFEST_FIELD.get(k, k)]
+    kept = []
+    for part, m in done.items():
+        if m.get("inputs") and set(m["inputs"]) <= inputs and set(keys) <= set(m["outputs"]):
+            kept.append(m)
         else:
-            todo.append(u)
+            for f in [_manifest_path(out_dir, part)] + [
+                    os.path.join(out_dir, f) for f in m.get("files", ())]:
+                if os.path.exists(f):
+                    os.remove(f)
+    named = {os.path.abspath(os.path.join(out_dir, f)) for m in kept for f in m["files"]}
+    views_dirs = {os.path.join(out_dir, "views")}
+    if outputs and outputs.views_dir:
+        views_dirs.add(outputs.views_dir)
+    for pattern in [os.path.join(out_dir, "part-*", "*.parquet*")] + [
+            os.path.join(d, "*", "*.parquet*") for d in views_dirs]:
+        for f in glob.glob(pattern):
+            if os.path.abspath(f) not in named:
+                os.remove(f)
+    return kept
+
+
+def run_resumable(
+    input_dir: str,
+    out_dir: str,
+    cfg: PipelineConfig | None = None,
+    outputs=None,
+    input_format: str = "sidecar",
+) -> dict:
+    """Parse every input of ``input_dir`` (``input_format``: ``sidecar``,
+    ``pdf`` or ``html``) not yet committed under ``out_dir`` in ONE Ray
+    plan.  Returns ``{"ran", "skipped", "total_partitions", "documents",
+    "errors", "n_spans", ...}``: the part ids of the items run and kept,
+    and the totals summed from the plan's per-item rows and the kept
+    manifests.
+
+    ``outputs`` (``stages/outputs.py:Outputs``) adds the side files the
+    parse tasks write (views, YAML, visual-debug pages, figure crops); the
+    totals then also carry ``visual_debug_pages`` / ``media_crops``.  The
+    span files are an output of every run that writes no YAML trees.
+
+    Raises :class:`ConfigMismatch` (a ``ValueError``) when ``out_dir``
+    holds manifests written with another output config.
+    """
+    cfg = cfg or PipelineConfig()
+    # the fields that shape output (all but the batch size), as JSON values
+    config = json.loads(json.dumps(dataclasses.asdict(cfg)))
+    del config["parse_batch_size"]
+    keys = sorted((outputs.keys() if outputs else []) +
+                  ([] if outputs and outputs.yaml_dir else ["spans"]))
+    inputs = list_inputs(input_dir, input_format)
+    kept = _resume(out_dir, config, keys, {u["id"] for u in inputs}, outputs)
+    covered = {i for m in kept for i in m["inputs"]}
+    items = group_items([u for u in inputs if u["id"] not in covered],
+                        input_format, cfg.parse_batch_size)
+    sum_cols = ("n_spans",) + (COUNT_COLUMNS if outputs else ())
+    totals = {k: sum(m.get(k, 0) for m in kept) for k in ("documents", "errors") + sum_cols}
     ran = []
-    if todo:
+    if items:
         commit = functools.partial(
-            _commit, out_dir, {"config": config, "outputs": wanted}, sum_cols)
-        for row in extract_spans_fused(todo, cfg, outputs, commit).iter_rows():
+            _commit, out_dir, {"config": config, "outputs": keys}, sum_cols, outputs)
+        for row in extract_spans_fused(items, cfg, outputs, commit,
+                                       input_format).iter_rows():
             ran.append(row["part_id"])
             for k in totals:
                 totals[k] += row[k]
-    return {"ran": sorted(ran), "skipped": sorted(skipped),
-            "total_partitions": len(units), **totals}
+    return {"ran": sorted(ran), "skipped": sorted(m["part_id"] for m in kept),
+            "total_partitions": len(kept) + len(items), **totals}

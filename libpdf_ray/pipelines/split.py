@@ -67,7 +67,7 @@ from ..schema import SPANS_SCHEMA
 from ..stages.decoder import decode_sidecar_rows
 from ..stages.parse import parse_batch
 from ..stages.pdf_decoder import PdfByteDecoder, decode_pdf_document, pdf_page_count
-from .extract import list_fragments, read_fragment
+from .extract import list_inputs, read_fragment
 
 #: one page range of one heavy document.  ``payload`` holds what the
 #: source decodes before the prepare stage, and the pickled
@@ -117,11 +117,11 @@ class _Sidecar:
     decoder = None  # parse_batch's default, the sidecar decoder
 
     def units(self, files: list) -> list:
-        return list_fragments(files)
+        return list_inputs(files)
 
     def read(self, unit: dict) -> tuple:
         """Unit → (raw rows for ``parse_batch``, per-row (est_pages, pages))."""
-        t = read_fragment(unit)
+        t = read_fragment(unit["path"], unit["rg"])
         pages = t.column("pages").to_pylist()
         est = (
             t.column("est_pages").to_pylist()

@@ -65,8 +65,9 @@ SPAN_STRUCT = pa.struct(
 SPANS_TYPE = pa.list_(SPAN_STRUCT)
 
 #: the span rows every extraction path emits (``extract_spans``,
-#: ``extract_spans_fused``, ``extract_spans_split``); ``error`` is empty
-#: unless the document raised
+#: ``extract_spans_fused``, ``extract_spans_split``) and every span file of
+#: a resumable run holds (``run_resumable``, for every input format);
+#: ``error`` is empty unless the document raised
 SPANS_SCHEMA = pa.schema(
     [
         ("doc_id", pa.string()),

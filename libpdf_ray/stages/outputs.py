@@ -17,14 +17,12 @@ same task, inside the same per-document poison-row ``try``:
 
 A document whose decode or layout fails writes none of them.  Every file
 goes through :func:`write_file` (tmp + rename) under a deterministic name
-(the document id, or for a parquet file the digest of its input's identity
-and its bytes), so a retried task or a resumed partition overwrites the
-same files.
+(the document id, or for a view file the name of the batch's work item),
+so a retried task overwrites the same files.
 """
 
 from __future__ import annotations
 
-import hashlib
 import os
 from dataclasses import dataclass
 
@@ -82,18 +80,6 @@ def write_file(path: str, payload) -> None:
     os.replace(tmp, path)
 
 
-def write_table(out_dir: str, table: pa.Table, source: str) -> None:
-    """Write ``table`` as ``<out_dir>/<digest>.parquet``, the digest taken
-    over ``source`` (what the table was made from: the task's input paths
-    or doc ids, or its write-task index) and the table's bytes.  A retried
-    task, or a resumed partition, rewrites the same file; two inputs that
-    give byte-identical tables (one PDF copied into two directories) still
-    write two files."""
-    payload = parquet_bytes(table)
-    digest = hashlib.sha1(source.encode("utf-8") + b"\0" + payload)
-    write_file(os.path.join(out_dir, digest.hexdigest()[:16] + ".parquet"), payload)
-
-
 def parquet_bytes(table: pa.Table) -> bytes:
     """``table`` as the bytes of one parquet file."""
     import pyarrow.parquet as pq
@@ -130,10 +116,15 @@ def write_doc_outputs(doc: dict, spans: list, elements: list, cfg,
             len(crops) // (2 if out.media_format == "both" else 1))
 
 
-def write_views(view_rows: dict, out: Outputs, source: str) -> None:
-    """One parquet file per view for a batch (see :func:`write_table`); a
-    view with no rows in the batch writes nothing."""
-    for name, rows in view_rows.items():
+def write_views(view_rows: dict, out: Outputs, name: str) -> None:
+    """One parquet file per view for a batch, ``<views_dir>/<view>/<name>.parquet``
+    (:func:`view_file`); a view with no rows in the batch writes nothing."""
+    for view, rows in view_rows.items():
         if rows:
-            write_table(os.path.join(out.views_dir, name),
-                        pa.Table.from_pylist(rows, schema=VIEWS[name][0]), source)
+            write_file(view_file(out, view, name), parquet_bytes(
+                pa.Table.from_pylist(rows, schema=VIEWS[view][0])))
+
+
+def view_file(out: Outputs, view: str, name: str) -> str:
+    """The path of a batch's ``view`` file, ``name`` naming the batch."""
+    return os.path.join(out.views_dir, view, f"{name}.parquet")

@@ -11,6 +11,8 @@ need no per-worker warm-up.
 
 from __future__ import annotations
 
+import hashlib
+
 import pyarrow as pa
 
 from ..config import PipelineConfig
@@ -32,7 +34,7 @@ __all__ = [
 
 def parse_batch(batch: pa.Table, cfg: PipelineConfig,
                 decoder: DocumentDecoder | None = None,
-                outputs: Outputs | None = None) -> pa.Table:
+                outputs: Outputs | None = None, name: str | None = None) -> pa.Table:
     """Arrow batch of raw document rows → Arrow batch of (doc_id, spans,
     n_spans, est_pages, error) rows.  The per-doc kernel consumes deeply
     nested structs — the *document* is the vectorization unit, matching a
@@ -46,8 +48,11 @@ def parse_batch(batch: pa.Table, cfg: PipelineConfig,
     ``outputs`` (:class:`Outputs`) names the side files the run asks for:
     views, YAML trees, visual-debug pages and figure crops are written from
     the same per-document model as the span row (``stages/outputs.py``),
-    and the rows gain the :data:`COUNT_COLUMNS`.  This task is the only
-    place a run decodes and lays out a document."""
+    and the rows gain the :data:`COUNT_COLUMNS`.  The batch's view files
+    are ``<views_dir>/<view>/<name>.parquet``; ``name`` defaults to a
+    digest of the batch's input identity (its file paths, else its doc
+    ids).  This task is the only place a run decodes and lays out a
+    document."""
     rows = (decoder or _DEFAULT_DECODER).decode(batch)
     doc_ids = []
     spans_col = []
@@ -95,13 +100,16 @@ def parse_batch(batch: pa.Table, cfg: PipelineConfig,
     )
     if outputs is None:
         return table
-    # the batch's input identity names its view files: the file paths of a
-    # path-list read (ops/util.py:read_files), else the doc ids
-    source = batch.column("path" if "path" in batch.column_names else "doc_id")
-    write_views(view_rows, outputs, "\n".join(map(str, source.to_pylist())))
-    for i, name in enumerate(COUNT_COLUMNS):
+    if name is None:
+        # the file paths of a path-list read (ops/util.py:read_files), else
+        # the doc ids
+        source = batch.column("path" if "path" in batch.column_names else "doc_id")
+        name = hashlib.sha1("\n".join(map(str, source.to_pylist())).encode(
+            "utf-8")).hexdigest()[:16]
+    write_views(view_rows, outputs, name)
+    for i, column in enumerate(COUNT_COLUMNS):
         table = table.append_column(
-            name, pa.array([c[i] for c in counts], pa.int64()))
+            column, pa.array([c[i] for c in counts], pa.int64()))
     return table
 
 

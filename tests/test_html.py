@@ -175,6 +175,7 @@ class TestRayPipeline:
     def test_cli_html_input_to_spans(self, ray_session, tmp_path):
         """--input-format html over a directory of real .html files →
         span-schema parquet whose paragraphs rebuild the source text."""
+        import glob
         import os
 
         import pyarrow.parquet as pq
@@ -200,7 +201,8 @@ class TestRayPipeline:
 
         rc = main([pages, "-o", out, "--input-format", "html"])
         assert rc == 0
-        t = pq.read_table(os.path.join(out, "spans"))
+        t = pa.concat_tables(pq.read_table(f) for f in glob.glob(
+            os.path.join(out, "part-*", "*.parquet")))
         rows = {r["doc_id"]: r for r in t.to_pylist()}
         assert t.num_rows == len(rows)
         assert set(rows) == set(texts) | {"doc_bad", "doc_latin1"}

@@ -47,6 +47,11 @@ def _files(root):
         os.path.join(root, "**", "*.*"), recursive=True))
 
 
+def _span_rows(out):
+    return [r for f in sorted(glob.glob(os.path.join(out, "part-*", "*.parquet")))
+            for r in pq.read_table(f).to_pylist()]
+
+
 def _view_rows(root, name):
     files = glob.glob(os.path.join(root, "views", name, "*.parquet"))
     return [r for f in sorted(files) for r in pq.read_table(f).to_pylist()]
@@ -137,7 +142,8 @@ def test_poison_pdf_writes_no_side_outputs(ray_session, tmp_path, capsys):
                  "--input-format", "pdf", "--smart-page-crop"]) == 0
     summary = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
     assert (summary["documents"], summary["errors"]) == (2, 1)
-    assert os.listdir(yaml_out) == [f"{good['doc_id']}.yaml"]
+    # one YAML tree, for the good document, beside the run's manifests
+    assert sorted(os.listdir(yaml_out)) == ["_manifest", f"{good['doc_id']}.yaml"]
 
 
 def test_views_run_survives_a_document_whose_layout_raises(ray_session, tmp_path):
@@ -154,7 +160,7 @@ def test_views_run_survives_a_document_whose_layout_raises(ray_session, tmp_path
     out = str(tmp_path / "out")
     assert main([str(corpus), "-o", out, "--smart-page-crop",
                  "--views", "elements,cells,links,file_meta"]) == 0
-    spans = pq.read_table(os.path.join(out, "part-0000")).to_pylist()
+    spans = _span_rows(out)
     errors = {r["doc_id"]: r["error"] for r in spans}
     assert errors[docs[1]["doc_id"]].startswith("AttributeError")
     assert [errors[d["doc_id"]] for d in (docs[0], docs[2])] == ["", ""]
@@ -197,7 +203,7 @@ def test_identical_pdfs_in_two_directories_keep_both_rows(ray_session, tmp_path)
     assert main([str(tmp_path / "pdfs"), "-o", out, "--input-format", "pdf",
                  "--smart-page-crop", "--views", "elements,file_meta",
                  "--batch-size", "1"]) == 0
-    spans = pq.read_table(os.path.join(out, "spans")).to_pylist()
+    spans = _span_rows(out)
     assert [r["doc_id"] for r in spans] == ["doc", "doc"]
     assert len(_view_rows(out, "file_meta")) == 2
     one = view_batch(pa.table({"doc_id": ["doc"], "pdf_bytes": [data]}),

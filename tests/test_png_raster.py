@@ -207,20 +207,17 @@ class TestMediaSinks:
     def test_crop_writer_png_over_real_pdf(self, ray_session, tmp_path):
         """End-to-end K2 on a REAL reference PDF: export 300-dpi raster
         crops for full_features.pdf and decode every written file."""
-        from libpdf_ray.pipelines.extract import extract_spans
+        from libpdf_ray.pipelines.checkpoint import run_resumable
         from libpdf_ray.stages.outputs import Outputs
-        from libpdf_ray.stages.pdf_decoder import PdfByteDecoder, read_pdf_files
 
-        ds = read_pdf_files(
-            ["/root/reference/tests/pdf/full_features.pdf"]
+        media = str(tmp_path / "media")
+        summary = run_resumable(
+            "/root/reference/tests/pdf/full_features.pdf", str(tmp_path / "run"),
+            CFG, Outputs(media_dir=media, media_format="png"), "pdf",
         )
-        rows = extract_spans(
-            ds, CFG, decoder=PdfByteDecoder(),
-            outputs=Outputs(media_dir=str(tmp_path), media_format="png"),
-        ).take_all()
-        assert [r["error"] for r in rows] == [""]
-        assert rows[0]["media_crops"] == 7  # the reference's 7 figures
-        pngs = glob.glob(os.path.join(str(tmp_path), "**", "*.png"),
+        assert (summary["documents"], summary["errors"]) == (1, 0)
+        assert summary["media_crops"] == 7  # the reference's 7 figures
+        pngs = glob.glob(os.path.join(media, "**", "*.png"),
                          recursive=True)
         assert len(pngs) == 7
         for f in pngs:

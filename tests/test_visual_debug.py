@@ -43,13 +43,13 @@ def test_page_svg_geometry_and_colors():
 
 
 def _render(corpus, out, **kwargs):
-    """Parse ``corpus`` with visual-debug pages as the run's one side
-    output; returns the span rows (with their ``visual_debug_pages``)."""
-    from libpdf_ray.pipelines.extract import extract_spans, read_corpus
+    """Run ``corpus`` with visual-debug pages under ``out`` as the one side
+    output; returns the run summary (with its ``visual_debug_pages``)."""
+    from libpdf_ray.pipelines.checkpoint import run_resumable
     from libpdf_ray.stages.outputs import Outputs
 
-    return extract_spans(read_corpus(corpus), SMART_CROP_CONFIG,
-                         outputs=Outputs(visual_dir=out, **kwargs)).take_all()
+    return run_resumable(corpus, out + "-run", SMART_CROP_CONFIG,
+                         Outputs(visual_dir=out, **kwargs))
 
 
 def _boxes(out):
@@ -66,15 +66,15 @@ def test_render_over_corpus(ray_session, tmp_path):
     corpus = str(tmp_path / "corpus")
     out = str(tmp_path / "dbg")
     write_corpus(corpus, n_docs=8, seed=42, shards=2, skew_pages=6)
-    rows = _render(corpus, out)
-    assert all(r["error"] == "" for r in rows)
-    # one SVG per (doc, page), and the rows count them
+    summary = _render(corpus, out)
+    assert summary["errors"] == 0
+    # one SVG per (doc, page), and the summary counts them
     files = glob.glob(os.path.join(out, "**", "*.svg"), recursive=True)
     pages = view_table(read_corpus(corpus), "pages").to_pandas()
     assert sorted(files) == sorted(
         os.path.join(out, d, f"libpdf_{n}.svg")
         for d, n in zip(pages["doc_id"], pages["number"]))
-    assert sum(r["visual_debug_pages"] for r in rows) == len(files)
+    assert summary["visual_debug_pages"] == len(files)
     # box count per page equals the elements view's per-page count
     els = view_table(read_corpus(corpus), "elements", SMART_CROP_CONFIG).to_pandas()
     per_page = els.groupby(["doc_id", "page"]).size()
@@ -113,8 +113,8 @@ def test_include_exclude_and_split(ray_session, tmp_path):
     n_split = len(glob.glob(str(tmp_path / "split" / "**" / "*.svg"), recursive=True))
     n_full = len(glob.glob(str(tmp_path / "all" / "**" / "*.svg"), recursive=True))
     assert n_split == 5 * n_full
-    assert sum(r["visual_debug_pages"] for r in split) == n_split
-    assert sum(r["visual_debug_pages"] for r in full) == n_full
+    assert split["visual_debug_pages"] == n_split
+    assert full["visual_debug_pages"] == n_full
     for t in RENDER_ELEMENTS:
         assert glob.glob(str(tmp_path / "split" / "*" / t / "*.svg"))
 
@@ -141,6 +141,7 @@ class TestVectorCropExport:
     def test_svg_crops_match_figure_spans(self, ray_session, tmp_path):
         from libpdf_ray.fixtures import write_corpus
         from libpdf_ray.kernels.document import extract_document_full
+        from libpdf_ray.pipelines.checkpoint import run_resumable
         from libpdf_ray.pipelines.extract import (PARSE_COLUMNS, extract_spans,
                                                   read_corpus, spans_table)
         from libpdf_ray.stages.decoder import decode_sidecar_rows
@@ -149,11 +150,9 @@ class TestVectorCropExport:
         corpus = str(tmp_path / "corpus")
         media = str(tmp_path / "media")
         write_corpus(corpus, n_docs=16, seed=42, shards=2, skew_pages=6)
-        rows = extract_spans(
-            read_corpus(corpus), SMART_CROP_CONFIG,
-            outputs=Outputs(media_dir=media, media_format="svg"),
-        ).take_all()
-        assert all(r["error"] == "" for r in rows)
+        summary = run_resumable(corpus, str(tmp_path / "run"), SMART_CROP_CONFIG,
+                                Outputs(media_dir=media, media_format="svg"))
+        assert summary["errors"] == 0
         # exactly one crop per figure span media_ref
         spans = spans_table(
             extract_spans(read_corpus(corpus), SMART_CROP_CONFIG)
@@ -161,7 +160,7 @@ class TestVectorCropExport:
         fig_refs = set(spans[spans["kind"] == "figure"]["media_ref"])
         files = glob.glob(os.path.join(media, "**", "*.svg"), recursive=True)
         assert {os.path.relpath(f, media)[:-4] + ".png" for f in files} == fig_refs
-        assert len(files) == len(fig_refs) == sum(r["media_crops"] for r in rows)
+        assert len(files) == len(fig_refs) == summary["media_crops"]
         # each crop draws exactly its figure's words / segments / rects,
         # counted here from the RAW sidecar rows (not the decoder's tables)
         import pyarrow.parquet as pq
