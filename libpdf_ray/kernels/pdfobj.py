@@ -10,7 +10,9 @@ PDF 1.7 spec (ISO 32000-1) over stdlib ``zlib``/``struct`` only:
   (:func:`parse_object`: numbers, names with ``#xx``, literal and hex
   strings, arrays, dicts, streams, indirect refs, booleans, null) and
   content mode (:func:`content_tokens`: a whole content stream or CMap,
-  operands and operators, in one ``finditer`` pass);
+  operands and operators, in one ``finditer`` pass), plus the
+  interpreter's operator grammar (:func:`content_ops`), which lexes the
+  hot text runs whole as pre-parsed :class:`Op` records in the same pass;
 - stream filters: FlateDecode (+ PNG/TIFF predictors), LZWDecode,
   ASCIIHexDecode, ASCII85Decode, RunLengthDecode — image-only codecs
   (DCT/JPX/CCITT/JBIG2) pass through undecoded, flagged;
@@ -87,16 +89,38 @@ NULL = object()  # PDF null singleton (distinct from "key absent")
 # pattern matches at every position, ``finditer`` yields back-to-back
 # tokens and never resumes a search inside a comment, and a whole content
 # stream lexes in one C-level pass; Python only dispatches on the group.
+#
+# The interpreter's grammar (:func:`content_ops`) adds operator
+# alternatives: a match that is a whole operator WITH its operands (the
+# writer's one-show text object, ``(s) Tj``, ``/F n Tf``) and becomes one
+# pre-parsed :class:`Op` record instead of one token per operand.  Each is
+# built from the same token fragments, so it matches only where the token
+# alternatives would produce exactly its tokens; anything else (a comment
+# or an escaped string inside the run, a name where a number belongs, a
+# ``-0`` or 300-digit integer, which convert differently as one token)
+# fails the alternative and lexes token by token as before, in the same
+# ``finditer`` pass.  They sit after the number alternatives, and each
+# begins with its literal first byte (``B``, ``(``, ``/``) outside its
+# group, which the regex engine tests before entering a branch: a
+# position that cannot start a record costs one character test per
+# record.  (``bi`` is spelled the same way for the same reason.)  Every
+# capture group costs each match a little, whether or not it is tried,
+# so a record is one group whose builder splits the matched text.
 
 _WS = b"\x00\t\n\x0c\r "
 _REGULAR = rb"[^\x00\t\n\x0c\r ()<>\[\]{}/%]"
 _SKIP = rb"(?:[\x00\t\n\x0c\r ]++|%[^\r\n]*+)*+"
-_COMMON_TOKENS = (
-    rb"(?P<real>[+-]?(?:\d++\.\d*+|\.\d++))",
+_REAL = rb"[+-]?(?:\d++\.\d*+|\.\d++)"
+_NAME = rb"/" + _REGULAR + rb"*+"
+_STR_BODY = rb"[^()\\]*+"  # literal string without escapes/nesting
+_NUMBER_TOKENS = (
+    rb"(?P<real>" + _REAL + rb")",
     rb"(?P<int>[+-]?\d++)",
+)
+_OTHER_TOKENS = (
     rb"(?P<kw>" + _REGULAR + rb"+)",
-    rb"(?P<name>/" + _REGULAR + rb"*)",
-    rb"\((?P<str>[^()\\]*+)\)",  # literal string without escapes/nesting
+    rb"(?P<name>" + _NAME + rb")",
+    rb"\((?P<str>" + _STR_BODY + rb")\)",
     rb"(?P<lp>\()",  # any other literal string: _scan_literal
     rb"(?P<ao>\[)",
     rb"(?P<ac>\])",
@@ -106,6 +130,7 @@ _COMMON_TOKENS = (
     rb"(?P<other>.)",  # ) { } >
     rb"(?P<end>\Z)",
 )
+_COMMON_TOKENS = _NUMBER_TOKENS + _OTHER_TOKENS
 # object mode: an indirect reference ``N G R``, and an all-integer array
 # such as a font's /Widths, decoded with one split() instead of one match
 # per element
@@ -116,7 +141,35 @@ _OBJECT_TOKENS = (
     rb"[\x00\t\n\x0c\r ]*+\])",
 )
 # content mode: an inline image ``BI … ID … EI`` is one token
-_CONTENT_TOKENS = (rb"(?P<bi>BI(?!" + _REGULAR + rb"))",)
+_CONTENT_TOKENS = (rb"B(?P<bi>I(?!" + _REGULAR + rb"))",)
+
+
+def _operator(kw: bytes) -> bytes:
+    return kw + rb"(?!" + _REGULAR + rb")"
+
+
+# operator-record pieces.  A record's builder splits its text with
+# bytes.split(), so inside one its separators are the PDF whitespace that
+# split() splits on (not NUL) and its names exclude the one byte split()
+# splits on that PDF does not (\v).  Numbers are atomic, so a failed
+# record never re-splits ``12.5`` as ``12`` ``.5``, and integers are
+# limited to those whose ``float(raw)`` equals the token path's
+# ``float(int(raw))``: not ``-0``, at most 300 digits.
+_SP = rb"[\t\n\x0c\r ]"
+_RUN_NAME = rb"[^\x00\t\n\x0b\x0c\r ()<>\[\]{}/%]"
+_NUM = (rb"(?>" + _REAL + rb"|(?!-0++(?!\d))[+-]?\d{1,300}+(?!\d))" + _SP
+        + rb"++")
+_TF = _SP + rb"++" + _NUM + _operator(b"Tf")  # after the font name
+_TJ = _STR_BODY + rb"\)" + _SP + rb"*+" + _operator(b"Tj")
+_RECORD_TOKENS = (
+    rb"B(?P<text>" + _operator(b"T") + _SP + rb"*+/" + _RUN_NAME + rb"*+" + _TF
+    + _SP + rb"++" + _NUM * 3 + rb"rg" + _SP + rb"++" + _NUM * 6
+    + _operator(b"Tm") + _SP + rb"*+\(" + _TJ + _SP + rb"*+" + _operator(b"ET")
+    + rb")",
+    rb"\((?P<show>" + _TJ + rb")",
+    # a non-empty name, which the builder splits off the size
+    rb"/(?P<font>" + _RUN_NAME + rb"++" + _TF + rb")",
+)
 _NAME_HEX_RE = re.compile(rb"#([0-9A-Fa-f]{2})")
 # every byte that is NOT a hex digit — one translate() strips garbage from
 # hex strings
@@ -170,17 +223,63 @@ _SCALARS = {
 }
 
 
-def _grammar(extra: tuple) -> tuple:
-    """(pattern, group index → kind, group index → scalar builder)."""
-    rx = re.compile(_SKIP + rb"(?:" + rb"|".join(extra + _COMMON_TOKENS) + rb")", re.S)
+class Op(tuple):
+    """One content operator matched whole with its operands
+    (:func:`content_ops`), operands already converted:
+
+    - ``("text", font name, size, (r, g, b), (a, b, c, d, e, f), string)``
+      for ``BT /F size Tf r g b rg a b c d e f Tm (string) Tj ET``;
+    - ``("show", string)`` for ``(string) Tj``;
+    - ``("font", font name, size)`` for ``/F size Tf``.
+
+    Names are :class:`Name`, numbers ``float`` and strings ``bytes``: the
+    values the token path's operand stack would hold, ``float``-converted
+    as the interpreter does."""
+
+    __slots__ = ()
+
+
+def _text_op(run: bytes) -> Op:
+    """``T /F size Tf r g b rg a b c d e f Tm (string) Tj ET`` (the text
+    object after its ``B``) → ``Op``."""
+    lp = run.index(b"(")
+    p = run[1:lp].split()  # /F size Tf r g b rg a b c d e f Tm
+    return Op(("text", _NAMES[p[0]], float(p[1]),
+               (float(p[3]), float(p[4]), float(p[5])),
+               (float(p[7]), float(p[8]), float(p[9]), float(p[10]),
+                float(p[11]), float(p[12])),
+               run[lp + 1:run.rindex(b")")]))
+
+
+def _font_op(run: bytes) -> Op:
+    """``F size Tf`` (after its ``/``) → ``Op``."""
+    name, size, _ = run.split()
+    return Op(("font", _NAMES[b"/" + name], float(size)))
+
+
+# groups that are one operator record → the builder from the group's text
+_RECORDS = {
+    "text": _text_op,
+    "show": lambda run: Op(("show", run[:run.rindex(b")")])),
+    "font": _font_op,
+}
+
+
+def _grammar(tokens: tuple) -> tuple:
+    """(pattern, group index → kind, group index → scalar builder,
+    group index → record builder)."""
+    rx = re.compile(_SKIP + rb"(?:" + rb"|".join(tokens) + rb")", re.S)
     kinds = [None] * (rx.groups + 1)
     for name, i in rx.groupindex.items():
         kinds[i] = name
-    return rx, tuple(kinds), tuple(_SCALARS.get(k) for k in kinds)
+    return (rx, tuple(kinds), tuple(_SCALARS.get(k) for k in kinds),
+            tuple(_RECORDS.get(k) for k in kinds))
 
 
-_OBJECT_GRAMMAR = _grammar(_OBJECT_TOKENS)
-_CONTENT_GRAMMAR = _grammar(_CONTENT_TOKENS)
+_OBJECT_GRAMMAR = _grammar(_OBJECT_TOKENS + _COMMON_TOKENS)
+_CONTENT_GRAMMAR = _grammar(_CONTENT_TOKENS + _COMMON_TOKENS)
+_OPS_GRAMMAR = _grammar(_CONTENT_TOKENS + _NUMBER_TOKENS + _RECORD_TOKENS
+                        + _OTHER_TOKENS)
 _SKIP_RE = re.compile(_SKIP)
 _WS_OR_DELIM = _WS + b"()<>[]{}/%"
 _STREAM_RE = re.compile(_SKIP + rb"stream(?:\r\n|[\r\n])?")
@@ -245,7 +344,7 @@ def _to_dict(items: list, strict: bool) -> dict:
 
 def _lex(data: bytes, pos: int, grammar: tuple, strict: bool,
          one: bool) -> tuple:
-    """The token loop of both modes → (top-level tokens, end).
+    """The token loop of every mode → (top-level tokens, end).
 
     Arrays and dicts are built in place, so they are single tokens of the
     level they close in.  ``one`` stops after the first top-level token.
@@ -253,8 +352,11 @@ def _lex(data: bytes, pos: int, grammar: tuple, strict: bool,
     ``>>`` or delimiter and at end of data inside a container; otherwise
     (content mode) stray closers are dropped, other delimiters become
     keywords, and lexing stops where the stream goes bad, so the
-    interpreter runs every operator before that point."""
-    rx, kinds, scalars = grammar
+    interpreter runs every operator before that point.  An operator
+    record (:func:`content_ops`) inside an array or dict is spelled out
+    as its tokens there, since it is operands of the container, not an
+    operator."""
+    rx, kinds, scalars, records = grammar
     top = out = []
     outer: list = []  # enclosing (tokens, closer) pairs, innermost last
     closer = None  # "ac" inside an array, "dc" inside a dict
@@ -266,6 +368,13 @@ def _lex(data: bytes, pos: int, grammar: tuple, strict: bool,
                 out.append(build(m[i]))
                 if one and not outer:
                     return top, m.end()
+                continue
+            build = records[i]
+            if build is not None:
+                if outer:
+                    out += content_tokens(m[0])
+                else:
+                    out.append(build(m[i]))
                 continue
             k = kinds[i]
             if k == "ao" or k == "do":
@@ -353,6 +462,13 @@ def content_tokens(data: bytes) -> list:
     return _lex(data, 0, _CONTENT_GRAMMAR, False, False)[0]
 
 
+def content_ops(data: bytes) -> list:
+    """The interpreter's view of a content stream: :func:`content_tokens`,
+    except that each hot operator run matched whole is one :class:`Op`
+    record in place of its operand and operator tokens."""
+    return _lex(data, 0, _OPS_GRAMMAR, False, False)[0]
+
+
 class ContentLexer:
     """One content-mode token at a time over the same grammar as
     :func:`content_tokens` (which the interpreter uses): ``parse()``
@@ -366,7 +482,7 @@ class ContentLexer:
         self.pos = pos
 
     def parse(self):
-        rx, _, scalars = _CONTENT_GRAMMAR
+        rx, _, scalars, _ = _CONTENT_GRAMMAR
         m = rx.match(self.data, self.pos)
         build = scalars[m.lastindex]
         if build is not None:  # one self-contained token: no token loop

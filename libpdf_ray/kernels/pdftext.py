@@ -23,8 +23,21 @@ is re-derived from ISO 32000-1 §9 (text), §8.5 (paths) and §8.8
   feed the table detector, ``re``-painted paths become rect records with
   the non-stroking color, thin filled bars degrade to their centerline
   segment (vector table borders are drawn that way by several writers);
-- XObjects: Form recursion (``/Matrix`` composed, own resources), Image
-  ``Do`` + inline ``BI..ID..EI`` → figure regions via the unit square.
+- XObjects: Form recursion (``/Matrix`` composed, own resources, content
+  lexed once per document), Image ``Do`` + inline ``BI..ID..EI`` → figure
+  regions via the unit square.
+
+A page is lexed with ``pdfobj.content_ops``: operands and operators as
+tokens, except the hot runs, which arrive as one pre-parsed ``Op`` record
+each — the writer's one-show text object ``BT /F n Tf r g b rg a b c d e
+f Tm (s) Tj ET``, ``(s) Tj`` and ``/F n Tf``.  ``_execute`` applies a
+record in one step with exactly the effects of its operators run one at a
+time (a ``Tf`` whose font lookup raises is skipped while the rest of the
+run still applies) and sends every other token through the operand stack
+and the operator if-chain.  ``Tf`` font names resolve once per content
+stream (``_FontNames``), and ``_show`` places upright strings (no rotation
+or skew, x axis not mirrored) with one y extent per string, bit-identical
+to the general per-glyph loop.
 
 Glyphs accumulate in column buffers (one entry per glyph for the box and
 text, one run per show string for page / color id / font id), which the
@@ -36,8 +49,10 @@ segments / rects / figures are plain dicts in the shapes
 from __future__ import annotations
 
 import re
+from math import isfinite
 
-from .pdfobj import Keyword, Name, PdfError, PdfFile, Stream, NULL, content_tokens
+from .pdfobj import (NULL, Keyword, Name, Op, PdfError, PdfFile, Ref, Stream,
+                     content_ops, content_tokens)
 
 # -- glyph-name → unicode (AGL subset: Latin-1 + common publishing glyphs;
 # enough for /Differences tables of western non-embedded fonts) ------------
@@ -255,6 +270,15 @@ class Font:
     def width(self, code: int) -> float:
         return self.widths.get(code, self.default_width)
 
+    def glyph(self, code: int) -> tuple:
+        """(text-space advance w0, text) of one code, memoised."""
+        if self.font_matrix is not None:
+            w0 = self.width(code) * self.font_matrix[0]
+        else:
+            w0 = self.width(code) / 1000.0
+        cached = self._glyph_cache[code] = (w0, self.text(code))
+        return cached
+
     def text(self, code: int) -> str:
         t = self.to_text.get(code)
         if t is not None:
@@ -463,20 +487,46 @@ class _GState:
         return g
 
 
+#: a Tf font name whose lookup raised: that Tf is skipped, the font stays
+_UNREADABLE = object()
+
+
+class _FontNames(dict):
+    """Tf font name → :class:`Font` (``None``: the name is not a font
+    dict; ``_UNREADABLE``: the lookup raised), looked up once per content
+    stream against that stream's ``/Font`` resources."""
+
+    __slots__ = ("interp", "fonts")
+
+    def __init__(self, interp: "PageInterpreter", fonts):
+        super().__init__()
+        self.interp, self.fonts = interp, fonts
+
+    def __missing__(self, name: Name):
+        try:
+            fd = self.interp.pdf.resolve(self.fonts.get(str(name)))
+            font = self.interp._font_for(fd) if isinstance(fd, dict) else None
+        except (PdfError, ValueError, TypeError, IndexError):
+            font = _UNREADABLE
+        self[name] = font
+        return font
+
+
 class PageInterpreter:
     """Execute one page's content → chars / segments / rects / figures.
 
-    Stateless across pages except the per-document font cache (fonts are
-    shared between pages via indirect refs; parsing ToUnicode once per
-    document mirrors pdfminer's cached ``PDFFont`` instances, which the
-    reference holds warm per process — here the cache lives for one
-    document inside one Ray task)."""
+    Stateless across pages except the per-document caches: fonts (shared
+    between pages via indirect refs; parsing ToUnicode once per document
+    mirrors pdfminer's cached ``PDFFont`` instances, which the reference
+    holds warm per process — here the cache lives for one document inside
+    one Ray task) and the lexed content of each Form XObject."""
 
     MAX_FORM_DEPTH = 8
 
     def __init__(self, pdf: PdfFile):
         self.pdf = pdf
         self._font_cache: dict = {}
+        self._form_ops: dict = {}  # Form XObject number → content_ops list
         # glyph columns: flat (x0, y0, x1, y1) per glyph, its text, and one
         # (page, color id, font id, glyph count) run per show string; ids
         # index ``colors`` / ``fonts`` (id 0: no color / no font name)
@@ -506,24 +556,47 @@ class PageInterpreter:
         self._page_no = int(page["number"])
         ctm, _, _ = page_base_ctm(page["mediabox"], page["rotate"])
         content = self.pdf.content_bytes(page)
-        self._execute(content, page["resources"], _GState(ctm), 0)
+        self._execute(content_ops(content), page["resources"], _GState(ctm), 0)
 
     # -- core loop ---------------------------------------------------
 
-    def _execute(self, content: bytes, resources: dict, gs: _GState,
+    def _execute(self, ops: list, resources: dict, gs: _GState,
                  depth: int) -> None:
         r = self.pdf.resolve
         resources = resources or {}
-        fonts = r(resources.get("Font")) or {}
+        named = _FontNames(self, r(resources.get("Font")) or {})
         xobjects = r(resources.get("XObject")) or {}
         stack: list = []
         gstack: list = []
         tm = tlm = MAT_ID
-        for tok in content_tokens(content):
+        for tok in ops:
             if tok.__class__ is not Keyword:
-                stack.append(tok)
-                if len(stack) > 64:
-                    del stack[:-32]
+                if tok.__class__ is not Op:
+                    stack.append(tok)
+                    if len(stack) > 64:
+                        del stack[:-32]
+                    continue
+                # a record: its operators in stream order, each of which
+                # would have cleared the operand stack
+                if stack:
+                    stack = []
+                kind = tok[0]
+                if kind == "show":
+                    raw = tok[1]
+                else:
+                    font = named[tok[1]]
+                    if font is not _UNREADABLE:
+                        gs.font = font
+                        gs.fsize = tok[2]
+                    if kind == "font":
+                        continue
+                    gs.ncolor = tok[3]
+                    tm = tlm = tok[4]
+                    raw = tok[5]
+                try:
+                    tm = self._show(raw, gs, tm)
+                except (PdfError, ValueError, TypeError, IndexError):
+                    pass
                 continue
             op = tok  # Keyword IS bytes — compare directly, no copy
             # dispatch ordered by measured operator frequency on text-heavy
@@ -543,9 +616,10 @@ class PageInterpreter:
                     tm = tlm
                 elif op == b"Tf":
                     if len(stack) >= 2 and isinstance(stack[-2], Name):
-                        fd = r(fonts.get(str(stack[-2])))
-                        gs.font = self._font_for(fd) if isinstance(fd, dict) else None
-                        gs.fsize = float(stack[-1])
+                        font = named[stack[-2]]
+                        if font is not _UNREADABLE:
+                            gs.font = font
+                            gs.fsize = float(stack[-1])
                 elif op == b"BT":
                     tm = tlm = MAT_ID
                 elif op == b"ET":
@@ -691,16 +765,39 @@ class PageInterpreter:
         glyph_cache = font._glyph_cache
         space_code = font.space_code
         codes = raw if font.code_bytes == 1 else font.iter_codes(bytes(raw))
+        # upright text (device x axis along +x, no rotation or skew): the
+        # origin only moves in x, so every glyph of the string has the
+        # same y extent, and x0 <= x1 without a compare.  The zero, sign
+        # and finiteness tests keep each box bit-identical to the general
+        # loop below, which reruns the string if an advance was not finite.
+        if (mb == 0.0 and mc == 0.0 and ta >= 0.0 and dcb * acb != 0.0
+                and isfinite(sa + dca + aca + dcb + acb + ox + oy)):
+            y0d, y1d = dcb + oy, acb + oy
+            if y0d > y1d:
+                y0d, y1d = y1d, y0d
+            for code in codes:
+                cached = glyph_cache.get(code)
+                w0, text = cached if cached is not None else font.glyph(code)
+                adv = (w0 * fsize + tc) * th
+                if code == space_code:
+                    adv += tw * th
+                if text and visible:
+                    x0d = dca + ox
+                    x1d = (w0 if w0 > 0 else 0.4) * ta + aca + ox
+                    for ch in text:
+                        texts.append(ch)
+                        boxes += (x0d, y0d, x1d, y1d)
+                        x0d = x1d  # multi-char expansion (ligatures) share the box
+                ox += adv * ma
+                total_adv += adv
+            if isfinite(total_adv + ox):
+                return self._end_show(gs, font, first, tm, total_adv)
+            del texts[first:], boxes[4 * first:]
+            ox, total_adv = rise * mc + me, 0.0
+            codes = raw if font.code_bytes == 1 else font.iter_codes(bytes(raw))
         for code in codes:
             cached = glyph_cache.get(code)
-            if cached is None:
-                if font.font_matrix is not None:
-                    w0 = font.width(code) * font.font_matrix[0]
-                else:
-                    w0 = font.width(code) / 1000.0
-                cached = (w0, font.text(code))
-                glyph_cache[code] = cached
-            w0, text = cached
+            w0, text = cached if cached is not None else font.glyph(code)
             adv = (w0 * fsize + tc) * th
             if code == space_code:
                 adv += tw * th
@@ -720,12 +817,16 @@ class PageInterpreter:
             ox += adv * ma
             oy += adv * mb
             total_adv += adv
-        if len(texts) > first:
+        return self._end_show(gs, font, first, tm, total_adv)
+
+    def _end_show(self, gs: _GState, font: Font, first: int, tm, total_adv):
+        """Close one show string: its glyph run, and tm advanced by it."""
+        if len(self.glyph_text) > first:
             self.glyph_runs.append((
                 self._page_no,
                 self._style_id(gs.ncolor, self._color_ids, self.colors),
                 self._style_id(font.name, self._font_ids, self.fonts),
-                len(texts) - first,
+                len(self.glyph_text) - first,
             ))
         return (tm[0], tm[1], tm[2], tm[3],
                 total_adv * tm[0] + tm[4], total_adv * tm[1] + tm[5])
@@ -862,7 +963,8 @@ class PageInterpreter:
     def _do_xobject(self, name, xobjects: dict, gs: _GState, depth: int) -> None:
         if not isinstance(name, Name):
             return
-        xo = self.pdf.resolve(xobjects.get(str(name)))
+        ref = xobjects.get(str(name))
+        xo = self.pdf.resolve(ref)
         if not isinstance(xo, Stream):
             return
         subtype = str(self.pdf.resolve(xo.dict.get("Subtype")) or "")
@@ -876,9 +978,15 @@ class PageInterpreter:
                     tuple(float(self.pdf.resolve(v)) for v in matrix), gs.ctm
                 )
             res = self.pdf.resolve(xo.dict.get("Resources")) or {}
+            # a stream is always an indirect object, so ``ref`` is a Ref
+            key = ref.num if isinstance(ref, Ref) else None
             try:
-                self._execute(xo.decoded(self.pdf.resolve), res, inner,
-                              depth + 1)
+                ops = self._form_ops.get(key)
+                if ops is None:
+                    ops = content_ops(xo.decoded(self.pdf.resolve))
+                    if key is not None:
+                        self._form_ops[key] = ops
+                self._execute(ops, res, inner, depth + 1)
             except PdfError:
                 pass
 

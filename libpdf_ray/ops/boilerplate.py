@@ -148,6 +148,7 @@ def strip_boilerplate(
     import ray
 
     from ..schema import SPAN_STRUCT
+    from .util import cluster_cpus
 
     ref = ray.put(frozenset(boilerplate_hashes))
 
@@ -217,7 +218,10 @@ def strip_boilerplate(
                 }
             )
 
-    return corpus_ds.map_batches(Strip, batch_format="pyarrow", concurrency=2)
+    # autoscaling pool sized to the cluster: one actor on a small session,
+    # one per CPU on a large one
+    return corpus_ds.map_batches(Strip, batch_format="pyarrow",
+                                 concurrency=(1, max(1, cluster_cpus())))
 
 
 def main_content_labels(corpus_ds, short_tokens: int = 5):

@@ -124,12 +124,17 @@ def media_table(spans_ds):
     return spans_ds.map_batches(figures_only, batch_format="pandas")
 
 
-def extract_media_features(spans_ds, batch_size: int = 64, concurrency=2,
+def extract_media_features(spans_ds, batch_size: int = 64, concurrency=None,
                            media_root: str = ""):
     """The full multimodal path: spans → media refs → decoded features.
     ``media_root`` set → REAL decode of the written PNG objects; unset →
     the deterministic ref-derived stand-in.  Small batch_size on purpose:
-    decoded payloads dominate worker heap."""
+    decoded payloads dominate worker heap.  ``concurrency`` defaults to an
+    autoscaling actor pool of one to one-per-cluster-CPU."""
+    if concurrency is None:
+        from .util import cluster_cpus
+
+        concurrency = (1, max(1, cluster_cpus()))
     return media_table(spans_ds).map_batches(
         MediaFeatureExtractor,
         fn_constructor_kwargs={"media_root": media_root},

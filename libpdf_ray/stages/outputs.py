@@ -55,18 +55,20 @@ class Outputs:
     def keys(self) -> list:
         """One entry per output this spec writes, with what decides its
         files.  A resumable partition whose manifest lists every key needs
-        no rerun."""
-        keys = [f"view {name} {self.views_dir}" for name in self.views]
+        no rerun.  Directories enter as absolute paths, so two spellings
+        of one directory (``out`` and ``./out``) are one key."""
+        path = os.path.abspath
+        keys = [f"view {name} {path(self.views_dir)}" for name in self.views]
         if self.yaml_dir:
-            keys.append(f"yaml {self.yaml_dir}")
+            keys.append(f"yaml {path(self.yaml_dir)}")
         if self.visual_dir:
             keys.append(
-                f"visual_debug {self.visual_dir} {self.visual_format} "
+                f"visual_debug {path(self.visual_dir)} {self.visual_format} "
                 f"{'split' if self.visual_split else 'page'} "
                 f"{','.join(self.visual_elements)}"
             )
         if self.media_dir:
-            keys.append(f"media {self.media_dir} {self.media_format}")
+            keys.append(f"media {path(self.media_dir)} {self.media_format}")
         return sorted(keys)
 
 

@@ -258,6 +258,22 @@ def test_cli_rerun_with_another_batch_size_adds_no_rows(ray_session, corpora,
         {k: first[k] for k in ("documents", "errors", "spans")}
 
 
+def test_cli_rerun_into_another_spelling_of_the_output_runs_nothing(
+        ray_session, small_corpus_dir, tmp_path, capsys):
+    """The side outputs' manifest keys name their directories as absolute
+    paths: a finished run with ``--views`` rerun into the same directory
+    spelled ``<dir>/./out`` runs no item."""
+    from libpdf_ray.__main__ import main
+
+    argv = [small_corpus_dir, "--views", "cells", "-o"]
+    assert main(argv + [str(tmp_path / "out")]) == 0
+    first = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert first["ran"]
+    assert main(argv + [os.path.join(str(tmp_path), ".", "out")]) == 0
+    again = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert again["ran"] == [] and again["skipped"] == first["ran"]
+
+
 def test_main_leaves_the_callers_session_running(ray_session, small_corpus_dir,
                                                  tmp_path, capsys):
     """``main()`` shuts down only a Ray session it started: inside a
