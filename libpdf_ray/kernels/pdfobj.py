@@ -12,7 +12,8 @@ PDF 1.7 spec (ISO 32000-1) over stdlib ``zlib``/``struct`` only:
   content mode (:func:`content_tokens`: a whole content stream or CMap,
   operands and operators, in one ``finditer`` pass), plus the
   interpreter's operator grammar (:func:`content_ops`), which lexes the
-  hot text runs whole as pre-parsed :class:`Op` records in the same pass;
+  writer's one-show text objects whole as pre-parsed :class:`Op` records
+  in the same pass;
 - stream filters: FlateDecode (+ PNG/TIFF predictors), LZWDecode,
   ASCIIHexDecode, ASCII85Decode, RunLengthDecode — image-only codecs
   (DCT/JPX/CCITT/JBIG2) pass through undecoded, flagged;
@@ -90,22 +91,22 @@ NULL = object()  # PDF null singleton (distinct from "key absent")
 # tokens and never resumes a search inside a comment, and a whole content
 # stream lexes in one C-level pass; Python only dispatches on the group.
 #
-# The interpreter's grammar (:func:`content_ops`) adds operator
-# alternatives: a match that is a whole operator WITH its operands (the
-# writer's one-show text object, ``(s) Tj``, ``/F n Tf``) and becomes one
-# pre-parsed :class:`Op` record instead of one token per operand.  Each is
-# built from the same token fragments, so it matches only where the token
-# alternatives would produce exactly its tokens; anything else (a comment
-# or an escaped string inside the run, a name where a number belongs, a
-# ``-0`` or 300-digit integer, which convert differently as one token)
-# fails the alternative and lexes token by token as before, in the same
-# ``finditer`` pass.  They sit after the number alternatives, and each
-# begins with its literal first byte (``B``, ``(``, ``/``) outside its
-# group, which the regex engine tests before entering a branch: a
-# position that cannot start a record costs one character test per
-# record.  (``bi`` is spelled the same way for the same reason.)  Every
+# The interpreter's grammar (:func:`content_ops`) adds one operator
+# alternative: the writer's one-show text object ``BT /F n Tf r g b rg
+# a b c d e f Tm (s) Tj ET``, matched whole with its operands, becomes one
+# pre-parsed :class:`Op` record instead of one token per operand and
+# operator.  It is built from the same token fragments, so it matches
+# only where the token alternatives would produce exactly its tokens;
+# anything else (a comment or an escaped string inside the run, a name
+# where a number belongs, a ``-0`` or 300-digit integer, which convert
+# differently as one token) fails the alternative and lexes token by
+# token as before, in the same ``finditer`` pass.  It sits after the
+# number alternatives and begins with its literal first byte ``B``
+# outside its group, which the regex engine tests before entering the
+# branch: a position that cannot start a record costs one character
+# test.  (``bi`` is spelled the same way for the same reason.)  Every
 # capture group costs each match a little, whether or not it is tried,
-# so a record is one group whose builder splits the matched text.
+# so the record is one group whose builder splits the matched text.
 
 _WS = b"\x00\t\n\x0c\r "
 _REGULAR = rb"[^\x00\t\n\x0c\r ()<>\[\]{}/%]"
@@ -159,16 +160,12 @@ _SP = rb"[\t\n\x0c\r ]"
 _RUN_NAME = rb"[^\x00\t\n\x0b\x0c\r ()<>\[\]{}/%]"
 _NUM = (rb"(?>" + _REAL + rb"|(?!-0++(?!\d))[+-]?\d{1,300}+(?!\d))" + _SP
         + rb"++")
-_TF = _SP + rb"++" + _NUM + _operator(b"Tf")  # after the font name
-_TJ = _STR_BODY + rb"\)" + _SP + rb"*+" + _operator(b"Tj")
 _RECORD_TOKENS = (
-    rb"B(?P<text>" + _operator(b"T") + _SP + rb"*+/" + _RUN_NAME + rb"*+" + _TF
-    + _SP + rb"++" + _NUM * 3 + rb"rg" + _SP + rb"++" + _NUM * 6
-    + _operator(b"Tm") + _SP + rb"*+\(" + _TJ + _SP + rb"*+" + _operator(b"ET")
-    + rb")",
-    rb"\((?P<show>" + _TJ + rb")",
-    # a non-empty name, which the builder splits off the size
-    rb"/(?P<font>" + _RUN_NAME + rb"++" + _TF + rb")",
+    rb"B(?P<text>" + _operator(b"T") + _SP + rb"*+/" + _RUN_NAME + rb"*+"
+    + _SP + rb"++" + _NUM + _operator(b"Tf") + _SP + rb"++" + _NUM * 3
+    + rb"rg" + _SP + rb"++" + _NUM * 6 + _operator(b"Tm") + _SP + rb"*+\("
+    + _STR_BODY + rb"\)" + _SP + rb"*+" + _operator(b"Tj") + _SP + rb"*+"
+    + _operator(b"ET") + rb")",
 )
 _NAME_HEX_RE = re.compile(rb"#([0-9A-Fa-f]{2})")
 # every byte that is NOT a hex digit — one translate() strips garbage from
@@ -224,17 +221,13 @@ _SCALARS = {
 
 
 class Op(tuple):
-    """One content operator matched whole with its operands
-    (:func:`content_ops`), operands already converted:
+    """One text object ``BT /F size Tf r g b rg a b c d e f Tm (string) Tj
+    ET`` matched whole (:func:`content_ops`), operands already converted:
+    ``(font name, size, (r, g, b), (a, b, c, d, e, f), string)``.
 
-    - ``("text", font name, size, (r, g, b), (a, b, c, d, e, f), string)``
-      for ``BT /F size Tf r g b rg a b c d e f Tm (string) Tj ET``;
-    - ``("show", string)`` for ``(string) Tj``;
-    - ``("font", font name, size)`` for ``/F size Tf``.
-
-    Names are :class:`Name`, numbers ``float`` and strings ``bytes``: the
-    values the token path's operand stack would hold, ``float``-converted
-    as the interpreter does."""
+    The name is a :class:`Name`, numbers are ``float`` and the string is
+    ``bytes``: the values the token path's operand stack would hold,
+    ``float``-converted as the interpreter does."""
 
     __slots__ = ()
 
@@ -244,25 +237,15 @@ def _text_op(run: bytes) -> Op:
     object after its ``B``) → ``Op``."""
     lp = run.index(b"(")
     p = run[1:lp].split()  # /F size Tf r g b rg a b c d e f Tm
-    return Op(("text", _NAMES[p[0]], float(p[1]),
+    return Op((_NAMES[p[0]], float(p[1]),
                (float(p[3]), float(p[4]), float(p[5])),
                (float(p[7]), float(p[8]), float(p[9]), float(p[10]),
                 float(p[11]), float(p[12])),
                run[lp + 1:run.rindex(b")")]))
 
 
-def _font_op(run: bytes) -> Op:
-    """``F size Tf`` (after its ``/``) → ``Op``."""
-    name, size, _ = run.split()
-    return Op(("font", _NAMES[b"/" + name], float(size)))
-
-
 # groups that are one operator record → the builder from the group's text
-_RECORDS = {
-    "text": _text_op,
-    "show": lambda run: Op(("show", run[:run.rindex(b")")])),
-    "font": _font_op,
-}
+_RECORDS = {"text": _text_op}
 
 
 def _grammar(tokens: tuple) -> tuple:
@@ -464,14 +447,15 @@ def content_tokens(data: bytes) -> list:
 
 def content_ops(data: bytes) -> list:
     """The interpreter's view of a content stream: :func:`content_tokens`,
-    except that each hot operator run matched whole is one :class:`Op`
+    except that each one-show text object matched whole is one :class:`Op`
     record in place of its operand and operator tokens."""
     return _lex(data, 0, _OPS_GRAMMAR, False, False)[0]
 
 
 class ContentLexer:
     """One content-mode token at a time over the same grammar as
-    :func:`content_tokens` (which the interpreter uses): ``parse()``
+    :func:`content_tokens` (the token grammar, without the record the
+    interpreter's :func:`content_ops` adds): ``parse()``
     returns the token at ``pos`` and advances ``pos`` past it, raising
     :class:`PdfError` at end of data."""
 

@@ -23,21 +23,17 @@ is re-derived from ISO 32000-1 §9 (text), §8.5 (paths) and §8.8
   feed the table detector, ``re``-painted paths become rect records with
   the non-stroking color, thin filled bars degrade to their centerline
   segment (vector table borders are drawn that way by several writers);
-- XObjects: Form recursion (``/Matrix`` composed, own resources, content
-  lexed once per document), Image ``Do`` + inline ``BI..ID..EI`` → figure
-  regions via the unit square.
+- XObjects: Form recursion (``/Matrix`` composed, own resources), Image
+  ``Do`` + inline ``BI..ID..EI`` → figure regions via the unit square.
 
 A page is lexed with ``pdfobj.content_ops``: operands and operators as
-tokens, except the hot runs, which arrive as one pre-parsed ``Op`` record
-each — the writer's one-show text object ``BT /F n Tf r g b rg a b c d e
-f Tm (s) Tj ET``, ``(s) Tj`` and ``/F n Tf``.  ``_execute`` applies a
-record in one step with exactly the effects of its operators run one at a
-time (a ``Tf`` whose font lookup raises is skipped while the rest of the
-run still applies) and sends every other token through the operand stack
-and the operator if-chain.  ``Tf`` font names resolve once per content
-stream (``_FontNames``), and ``_show`` places upright strings (no rotation
-or skew, x axis not mirrored) with one y extent per string, bit-identical
-to the general per-glyph loop.
+tokens, except the writer's one-show text object ``BT /F n Tf r g b rg
+a b c d e f Tm (s) Tj ET``, which arrives as one pre-parsed ``Op`` record.
+``_execute`` applies a record in one step with exactly the effects of its
+operators run one at a time (a ``Tf`` whose font lookup raises is skipped
+while the rest of the run still applies) and sends every other token
+through the operand stack and the operator if-chain.  ``Tf`` font names
+resolve once per content stream (``_FontNames``).
 
 Glyphs accumulate in column buffers (one entry per glyph for the box and
 text, one run per show string for page / color id / font id), which the
@@ -49,9 +45,8 @@ segments / rects / figures are plain dicts in the shapes
 from __future__ import annotations
 
 import re
-from math import isfinite
 
-from .pdfobj import (NULL, Keyword, Name, Op, PdfError, PdfFile, Ref, Stream,
+from .pdfobj import (NULL, Keyword, Name, Op, PdfError, PdfFile, Stream,
                      content_ops, content_tokens)
 
 # -- glyph-name → unicode (AGL subset: Latin-1 + common publishing glyphs;
@@ -515,18 +510,17 @@ class _FontNames(dict):
 class PageInterpreter:
     """Execute one page's content → chars / segments / rects / figures.
 
-    Stateless across pages except the per-document caches: fonts (shared
-    between pages via indirect refs; parsing ToUnicode once per document
-    mirrors pdfminer's cached ``PDFFont`` instances, which the reference
-    holds warm per process — here the cache lives for one document inside
-    one Ray task) and the lexed content of each Form XObject."""
+    Stateless across pages except the per-document font cache (fonts are
+    shared between pages via indirect refs; parsing ToUnicode once per
+    document mirrors pdfminer's cached ``PDFFont`` instances, which the
+    reference holds warm per process — here the cache lives for one
+    document inside one Ray task)."""
 
     MAX_FORM_DEPTH = 8
 
     def __init__(self, pdf: PdfFile):
         self.pdf = pdf
         self._font_cache: dict = {}
-        self._form_ops: dict = {}  # Form XObject number → content_ops list
         # glyph columns: flat (x0, y0, x1, y1) per glyph, its text, and one
         # (page, color id, font id, glyph count) run per show string; ids
         # index ``colors`` / ``fonts`` (id 0: no color / no font name)
@@ -576,23 +570,17 @@ class PageInterpreter:
                     if len(stack) > 64:
                         del stack[:-32]
                     continue
-                # a record: its operators in stream order, each of which
-                # would have cleared the operand stack
+                # a text record: BT, Tf, rg, Tm, Tj and ET in stream order,
+                # each of which would have cleared the operand stack
                 if stack:
                     stack = []
-                kind = tok[0]
-                if kind == "show":
-                    raw = tok[1]
-                else:
-                    font = named[tok[1]]
-                    if font is not _UNREADABLE:
-                        gs.font = font
-                        gs.fsize = tok[2]
-                    if kind == "font":
-                        continue
-                    gs.ncolor = tok[3]
-                    tm = tlm = tok[4]
-                    raw = tok[5]
+                name, size, rgb, tm, raw = tok
+                font = named[name]
+                if font is not _UNREADABLE:
+                    gs.font = font
+                    gs.fsize = size
+                gs.ncolor = rgb
+                tlm = tm
                 try:
                     tm = self._show(raw, gs, tm)
                 except (PdfError, ValueError, TypeError, IndexError):
@@ -765,36 +753,6 @@ class PageInterpreter:
         glyph_cache = font._glyph_cache
         space_code = font.space_code
         codes = raw if font.code_bytes == 1 else font.iter_codes(bytes(raw))
-        # upright text (device x axis along +x, no rotation or skew): the
-        # origin only moves in x, so every glyph of the string has the
-        # same y extent, and x0 <= x1 without a compare.  The zero, sign
-        # and finiteness tests keep each box bit-identical to the general
-        # loop below, which reruns the string if an advance was not finite.
-        if (mb == 0.0 and mc == 0.0 and ta >= 0.0 and dcb * acb != 0.0
-                and isfinite(sa + dca + aca + dcb + acb + ox + oy)):
-            y0d, y1d = dcb + oy, acb + oy
-            if y0d > y1d:
-                y0d, y1d = y1d, y0d
-            for code in codes:
-                cached = glyph_cache.get(code)
-                w0, text = cached if cached is not None else font.glyph(code)
-                adv = (w0 * fsize + tc) * th
-                if code == space_code:
-                    adv += tw * th
-                if text and visible:
-                    x0d = dca + ox
-                    x1d = (w0 if w0 > 0 else 0.4) * ta + aca + ox
-                    for ch in text:
-                        texts.append(ch)
-                        boxes += (x0d, y0d, x1d, y1d)
-                        x0d = x1d  # multi-char expansion (ligatures) share the box
-                ox += adv * ma
-                total_adv += adv
-            if isfinite(total_adv + ox):
-                return self._end_show(gs, font, first, tm, total_adv)
-            del texts[first:], boxes[4 * first:]
-            ox, total_adv = rise * mc + me, 0.0
-            codes = raw if font.code_bytes == 1 else font.iter_codes(bytes(raw))
         for code in codes:
             cached = glyph_cache.get(code)
             w0, text = cached if cached is not None else font.glyph(code)
@@ -817,16 +775,12 @@ class PageInterpreter:
             ox += adv * ma
             oy += adv * mb
             total_adv += adv
-        return self._end_show(gs, font, first, tm, total_adv)
-
-    def _end_show(self, gs: _GState, font: Font, first: int, tm, total_adv):
-        """Close one show string: its glyph run, and tm advanced by it."""
-        if len(self.glyph_text) > first:
+        if len(texts) > first:
             self.glyph_runs.append((
                 self._page_no,
                 self._style_id(gs.ncolor, self._color_ids, self.colors),
                 self._style_id(font.name, self._font_ids, self.fonts),
-                len(self.glyph_text) - first,
+                len(texts) - first,
             ))
         return (tm[0], tm[1], tm[2], tm[3],
                 total_adv * tm[0] + tm[4], total_adv * tm[1] + tm[5])
@@ -963,8 +917,7 @@ class PageInterpreter:
     def _do_xobject(self, name, xobjects: dict, gs: _GState, depth: int) -> None:
         if not isinstance(name, Name):
             return
-        ref = xobjects.get(str(name))
-        xo = self.pdf.resolve(ref)
+        xo = self.pdf.resolve(xobjects.get(str(name)))
         if not isinstance(xo, Stream):
             return
         subtype = str(self.pdf.resolve(xo.dict.get("Subtype")) or "")
@@ -978,15 +931,9 @@ class PageInterpreter:
                     tuple(float(self.pdf.resolve(v)) for v in matrix), gs.ctm
                 )
             res = self.pdf.resolve(xo.dict.get("Resources")) or {}
-            # a stream is always an indirect object, so ``ref`` is a Ref
-            key = ref.num if isinstance(ref, Ref) else None
             try:
-                ops = self._form_ops.get(key)
-                if ops is None:
-                    ops = content_ops(xo.decoded(self.pdf.resolve))
-                    if key is not None:
-                        self._form_ops[key] = ops
-                self._execute(ops, res, inner, depth + 1)
+                self._execute(content_ops(xo.decoded(self.pdf.resolve)), res,
+                              inner, depth + 1)
             except PdfError:
                 pass
 

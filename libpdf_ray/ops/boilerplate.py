@@ -218,8 +218,7 @@ def strip_boilerplate(
                 }
             )
 
-    # autoscaling pool sized to the cluster: one actor on a small session,
-    # one per CPU on a large one
+    # autoscaling actor pool, 1..cluster CPUs
     return corpus_ds.map_batches(Strip, batch_format="pyarrow",
                                  concurrency=(1, max(1, cluster_cpus())))
 
