@@ -19,12 +19,14 @@ page-split across workers (``pipelines.split``):
   header/footer crop, global indices, reading-order merge, outline
   nesting, uid paths, link target resolution, span emission.
 
-``extract_document_full`` = prepare(all pages) + finish — the reference's
-single-document semantics exactly (the monolithic path applies the smart
-crop to figure/rect/table lists inside prepare, preserving the reference's
-stage order; the split path defers those crops to finish, which is
-observably identical unless repeating page furniture is itself a
-figure/rect/table that overlaps other regions).
+``extract_document_full`` = prepare(all pages) + finish on ONE catalog
+walk (prepare adopts chapter numbers into the numbered outline tree that
+finish nests on) — the reference's single-document semantics exactly
+(the monolithic path applies the smart crop to figure/rect/table lists
+inside prepare, preserving the reference's stage order; the split path
+defers those crops to finish, which is observably identical unless
+repeating page furniture is itself a figure/rect/table that overlaps
+other regions).
 
 Span conventions (the engine's span-sequence-equality contract; the fixture
 generator derives expected spans from the same conventions):
@@ -74,9 +76,11 @@ from .regions import (
 from .textmodel import (
     assemble_textbox_lines,
     assemble_word_lines,
+    box_lines,
     group_lines_into_boxes_la,
     group_lines_into_boxes,
     is_whitespace_only,
+    lay_out_word_boxes,
     textbox_text,
     textbox_word_dicts,
     word_box_table,
@@ -112,16 +116,22 @@ def _smart_crop(elements: list, n_pages: int, page_height: float, cfg) -> list:
     return [el for i, el in enumerate(elements) if i not in removed]
 
 
-def numbered_outline(doc: dict, cfg: PipelineConfig) -> list:
-    """Outline tree with deterministic chapter numbers, walked from the RAW
-    First/Next node encoding + Names tree (kernels.catalog) — pure function
-    of the catalog columns, so every page split derives the identical
-    tree."""
+def numbered_catalog(doc: dict, cfg: PipelineConfig) -> tuple:
+    """ONE catalog walk → ``(outline tree, named destinations)``: the tree
+    with deterministic chapter numbers (``[]`` under ``no_chapters``),
+    walked from the RAW First/Next node encoding + Names tree
+    (kernels.catalog) — a pure function of the catalog columns, so every
+    page split derives the identical tree."""
+    tree, named_dests = resolve_catalog(doc)
     if cfg.no_chapters:
-        return []
-    tree, _ = resolve_catalog(doc)
+        return [], named_dests
     assign_chapter_numbers(tree)
-    return tree
+    return tree, named_dests
+
+
+def numbered_outline(doc: dict, cfg: PipelineConfig) -> list:
+    """The numbered outline tree of :func:`numbered_catalog`."""
+    return [] if cfg.no_chapters else numbered_catalog(doc, cfg)[0]
 
 
 def textbox_lines(tb: dict, cfg: PipelineConfig) -> list:
@@ -142,9 +152,19 @@ def prepare_pages(
     cfg: PipelineConfig,
     page_subset=None,
     defer_smart_crop: bool = False,
+    outline=None,
 ) -> dict:
     """Phase 1: all page-local extraction for ``page_subset`` (default: all
-    selected pages).  Returns plain lists/dicts, serialization-safe."""
+    selected pages).  Returns plain lists/dicts, serialization-safe.
+
+    ``outline`` is the document's numbered outline tree when the caller
+    has walked the catalog already (:func:`numbered_catalog`); chapter
+    numbers this phase adopts from the page are written into it in place.
+
+    The laid-out textboxes stay on ``doc`` as ``doc["_textboxes"] = (cfg,
+    {index in doc["textboxes"]: box})`` for the ``text_styles`` view
+    (``stages/views.py``); a word box's lines are built only when read
+    (:func:`textmodel.box_lines`)."""
     page_numbers = sorted(pages if page_subset is None else page_subset)
     subset = set(page_numbers)
     n_pages = len(pages)
@@ -157,9 +177,9 @@ def prepare_pages(
         tuple(float(v) for v in cfg.page_crop) if cfg.page_crop else (0, 0, 0, 0)
     )
     textboxes_by_page: dict = {}
-    kept_boxes: list = []
+    kept_boxes: dict = {}
     word_boxes: list = []
-    for tb in doc.get("textboxes") or []:
+    for i, tb in enumerate(doc.get("textboxes") or []):
         t = dict(tb)
         t["page"] = int(t["page"])
         if t["page"] not in subset:
@@ -183,29 +203,27 @@ def prepare_pages(
         # every word box of the document in ONE word-kernel call below
         if t.get("chartab") is not None or t.get("chars"):
             t["lines"] = textbox_lines(t, cfg)
+            t["text"] = textbox_text(t)
         else:
             word_boxes.append(t)
-        kept_boxes.append(t)
+        kept_boxes[i] = t
+    doc["_textboxes"] = (cfg, kept_boxes)
 
     if word_boxes:
-        tab, rows, counts = word_box_table(word_boxes)
-        for t, lines in zip(
-            word_boxes, assemble_word_lines(tab, rows, counts, cfg.line_y_tolerance)
-        ):
-            t["lines"] = lines
+        # texts now; line dicts only for the boxes something reads
+        lay_out_word_boxes(word_boxes, cfg.line_y_tolerance)
 
-    for t in kept_boxes:
+    for t in kept_boxes.values():
         if t.get("ungrouped"):
             # the rawest form: an ungrouped page region — run pdfminer's
             # missing step and cluster the lines into textboxes
             # (group_textlines semantics, textbox.py:934-977; the
             # column-aware LA variant keeps one open box per column)
-            for box in group_lines_into_boxes_la(t["lines"], cfg.line_margin):
+            for box in group_lines_into_boxes_la(box_lines(t), cfg.line_margin):
                 sub = {"page": t["page"], **box}
                 sub["text"] = textbox_text(sub)
                 textboxes_by_page.setdefault(t["page"], []).append(sub)
             continue
-        t["text"] = textbox_text(t)
         textboxes_by_page.setdefault(t["page"], []).append(t)
 
     annos_by_page: dict = {}
@@ -218,7 +236,7 @@ def prepare_pages(
             if int(anno["page"]) in subset:
                 annos_by_page.setdefault(int(anno["page"]), []).append(anno)
 
-    outline_tree = numbered_outline(doc, cfg)
+    outline_tree = numbered_outline(doc, cfg) if outline is None else outline
 
     # -- figures (extract.py:593-659) --
     figures: list = []
@@ -247,7 +265,7 @@ def prepare_pages(
                                 annos_by_page[page_no],
                                 cfg.anno_x_tolerance,
                                 cfg.anno_y_tolerance,
-                                lines=tb["lines"],
+                                lines=box_lines(tb),
                             )
                         )
                 figures.append(
@@ -474,15 +492,16 @@ def prepare_pages(
     if not cfg.no_paragraphs:
         for page_no in page_numbers:
             for tb in candidates_by_page.get(page_no, []):
+                # only a page with annotations reads its boxes' lines
                 links = (
                     extract_links_for_textbox(
                         tb,
-                        annos_by_page.get(page_no, []),
+                        annos_by_page[page_no],
                         cfg.anno_x_tolerance,
                         cfg.anno_y_tolerance,
-                        lines=tb["lines"],
+                        lines=box_lines(tb),
                     )
-                    if annos_by_page
+                    if annos_by_page.get(page_no)
                     else []
                 )
                 paragraphs.append(
@@ -514,9 +533,15 @@ def finish_document(
     prepared_list: list,
     cfg: PipelineConfig,
     crop_deferred: bool = False,
+    catalog=None,
 ) -> tuple:
     """Phase 2: merge prepared page-range parts (in page order) and run the
-    document-level tail.  Returns (spans, flat_elements)."""
+    document-level tail.  Returns (spans, flat_elements).
+
+    ``catalog`` is :func:`numbered_catalog`'s ``(outline tree, named
+    destinations)`` when the parts were prepared on that very tree, which
+    then carries their adopted numbers already; without it the catalog is
+    walked again and the adoptions applied (the page-range split path)."""
     n_pages = len(pages)
     page_height = float(pages[sorted(pages)[0]]["height"])
 
@@ -551,17 +576,17 @@ def finish_document(
     for i, el in enumerate(rects):
         el["idx"] = i + 1
 
-    # outline tree (deterministic rebuild) + named destinations: ONE
-    # catalog walk serves both (numbers re-derived, then phase-1 adoptions)
-    outline_tree, named_dests = resolve_catalog(doc)
-    if cfg.no_chapters:
-        outline_tree = []
+    if catalog is not None:
+        outline_tree, named_dests = catalog
     else:
-        assign_chapter_numbers(outline_tree)
-    if adopted:
-        for node in flatten_outline(outline_tree):
-            if node["path"] in adopted:
-                node["number"] = adopted[node["path"]]
+        # outline tree (deterministic rebuild) + named destinations: ONE
+        # catalog walk serves both (numbers re-derived, then phase-1
+        # adoptions)
+        outline_tree, named_dests = numbered_catalog(doc, cfg)
+        if adopted:
+            for node in flatten_outline(outline_tree):
+                if node["path"] in adopted:
+                    node["number"] = adopted[node["path"]]
 
     # -- merge + reading order (process.py:189-209) --
     merged = figures + tables + paragraphs + chapters + rects
@@ -627,8 +652,12 @@ def extract_document_full(doc: dict, cfg: PipelineConfig = PipelineConfig()) -> 
     pages = selected_pages(doc, cfg)
     if not pages:
         return [], []
-    prepared = prepare_pages(doc, pages, cfg)
-    return finish_document(doc, pages, [prepared], cfg, crop_deferred=False)
+    # one catalog walk: prepare adopts page numbers into the tree, finish
+    # nests on it and resolves named destinations
+    catalog = numbered_catalog(doc, cfg)
+    prepared = prepare_pages(doc, pages, cfg, outline=catalog[0])
+    return finish_document(doc, pages, [prepared], cfg, crop_deferred=False,
+                           catalog=catalog)
 
 
 def _map_elements_outline(merged: list, outline_tree: list, headline_tolerance: float):

@@ -19,6 +19,20 @@ content-stream order) and the engine performs:
   only when uniform across all children (horizontal_box.py:85-92,137-144,
   190-196) — mixed word styles inside one line are now representable and
   exercised (reference tests/test_word_colors.py:7-143).
+
+Texts come first, lines on demand.  A document's word boxes are laid out
+together (:func:`lay_out_word_boxes`, one :class:`WordLayout`): line
+grouping and the span text of every box straight from the word table,
+one ``' '.join`` per line and one ``'\n'.join`` per box.  Line dicts —
+bboxes, lifted styles and the ``_wt``/``_idx`` word addresses — are built
+by the one line builder, :func:`_build_lines`, for all of the document's
+word boxes at once, on the first read of any box's lines through
+:func:`box_lines`.  The readers are links on annotated pages, table-cell
+and rect word crops, ungrouped regions (grouped into boxes by their
+lines) and the ``text_styles`` view; a spans-only parse of most
+documents builds none.  Glyph soups (:func:`assemble_glyph_lines`) and
+crops (:func:`assemble_word_lines`) build their lines at once, through
+the same builder.
 """
 
 from __future__ import annotations
@@ -238,25 +252,27 @@ def assemble_glyph_lines(
     return _build_lines(wt, np.arange(nw, dtype=np.int64), lstart)
 
 
-def _build_lines(wt: dict, rows, starts) -> list:
+def _build_lines(wt: dict, rows, starts, text=None) -> list:
     """The line builder both layout kernels end in: word-table ``rows``
     in final order (line after line, x-sorted within each line) and the
     position where each line starts → line dicts.  Bboxes fold with
     ``reduceat``; ``ncolor`` / ``fontname`` lift only when uniform,
     through :func:`_style_codes` over ``rows`` alone (a batch table's
     other rows are never read).  Lines stay lazy: ``_wt``/``_idx``
-    address the word table (see :func:`line_word_dicts`)."""
+    address the word table (see :func:`line_word_dicts`).  ``text``, the
+    line texts, is taken as given when the caller has them already."""
     import numpy as np
 
     x0, y0 = (np.minimum.reduceat(wt[k][rows], starts).tolist() for k in ("x0", "y0"))
     x1, y1 = (np.maximum.reduceat(wt[k][rows], starts).tolist() for k in ("x1", "y1"))
     color = _segment_style(*_style_codes(wt, "ncolor", rows), starts)[1].tolist()
     font = _segment_style(*_style_codes(wt, "fontname", rows), starts)[1].tolist()
-    text = wt["text"][rows].tolist()
     bounds = np.append(starts, len(rows)).tolist()
+    if text is None:
+        text = _line_texts(wt, rows, bounds)
     return [
         {
-            "text": " ".join(text[a:b]),
+            "text": text[i],
             "ncolor": color[i],
             "fontname": font[i],
             "x0": x0[i],
@@ -270,10 +286,17 @@ def _build_lines(wt: dict, rows, starts) -> list:
     ]
 
 
-def assemble_word_lines(tab: dict, rows, counts, y_tolerance: float = 0.5) -> list:
-    """Word table → assembled line dicts for each of several boxes, all
-    boxes in one pass of array ops; returns one top-to-bottom line list
-    per box.
+def _line_texts(wt: dict, rows, bounds: list) -> list:
+    """Line texts: the words of each line (``rows[bounds[i]:bounds[i+1]]``)
+    joined with ``' '``."""
+    words = wt["text"][rows].tolist()
+    return [" ".join(words[a:b]) for a, b in zip(bounds, bounds[1:])]
+
+
+class WordLayout:
+    """The word layout of several boxes over one word table, all boxes in
+    one pass of array ops: each box's text at once, its line dicts only
+    when something reads them.
 
     ``rows`` lists, box after box, the table rows in each box and
     ``counts`` how many each box has; a row may sit in several boxes (a
@@ -284,31 +307,82 @@ def assemble_word_lines(tab: dict, rows, counts, y_tolerance: float = 0.5) -> li
     line_overlap=0.5 *points*, a quirk pinned by tests (centers 0.6 pt
     apart split).  Each line then sorts by x0, stably.  A word with a
     missing (NaN) coordinate is malformed input and raises ``ValueError``.
-    """
-    import numpy as np
 
-    counts = np.asarray(counts, dtype=np.int64)
-    rows = np.asarray(rows, dtype=np.int64)
-    out: list = [[] for _ in range(len(counts))]
-    if len(rows) == 0:
-        return out
-    x0, y0, x1, y1 = (tab[k][rows] for k in ("x0", "y0", "x1", "y1"))
-    if np.isnan([x0, y0, x1, y1]).any():
-        raise ValueError("word box with a missing coordinate")
-    box = np.repeat(np.arange(len(counts)), counts)
-    yc = (y0 + y1) / 2.0
-    order = np.lexsort((x0, -yc, box))
-    newline = np.ones(len(rows), dtype=bool)
-    newline[1:] = (np.diff(box[order]) != 0) | (np.abs(np.diff(yc[order])) >= y_tolerance)
-    order = order[np.lexsort((x0[order], np.cumsum(newline)))]
-    starts = np.flatnonzero(newline)
-    for b, line in zip(box[order[starts]].tolist(), _build_lines(tab, rows[order], starts)):
-        out[b].append(line)
-    return out
+    Texts come straight from the word table (:meth:`text`).  The first
+    :meth:`box_lines` call builds the line dicts of EVERY box through
+    :func:`_build_lines` and keeps them; most boxes of a spans-only parse
+    are never asked, so most layouts never build any."""
+
+    def __init__(self, tab: dict, rows, counts, y_tolerance: float = 0.5):
+        import numpy as np
+
+        counts = np.asarray(counts, dtype=np.int64)
+        rows = np.asarray(rows, dtype=np.int64)
+        self.tab, self._lines = tab, None
+        self.first = [0] * (len(counts) + 1)
+        self.texts: list = []
+        if len(rows) == 0:
+            return
+        x0, y0, x1, y1 = (tab[k][rows] for k in ("x0", "y0", "x1", "y1"))
+        if np.isnan([x0, y0, x1, y1]).any():
+            raise ValueError("word box with a missing coordinate")
+        box = np.repeat(np.arange(len(counts)), counts)
+        yc = (y0 + y1) / 2.0
+        order = np.lexsort((x0, -yc, box))
+        newline = np.ones(len(rows), dtype=bool)
+        newline[1:] = (np.diff(box[order]) != 0) | (np.abs(np.diff(yc[order])) >= y_tolerance)
+        order = order[np.lexsort((x0[order], np.cumsum(newline)))]
+        self.rows, self.starts = rows[order], np.flatnonzero(newline)
+        # lines are box after box: box b owns lines first[b]:first[b + 1]
+        self.first = np.searchsorted(
+            box[order[self.starts]], np.arange(len(counts) + 1)).tolist()
+        self.texts = _line_texts(tab, self.rows, np.append(self.starts, len(rows)).tolist())
+
+    def text(self, b: int) -> str:
+        """Span text of box ``b``, equal to :func:`textbox_text` of its
+        lines: line texts joined with ``'\\n'``, trailing newline stripped."""
+        return "\n".join(self.texts[self.first[b]:self.first[b + 1]]).rstrip("\n")
+
+    def box_lines(self, b: int) -> list:
+        """Line dicts of box ``b``, top-to-bottom (built for every box on
+        the first call)."""
+        if self._lines is None:
+            self._lines = (_build_lines(self.tab, self.rows, self.starts, self.texts)
+                           if self.texts else [])
+        return self._lines[self.first[b]:self.first[b + 1]]
+
+
+def assemble_word_lines(tab: dict, rows, counts, y_tolerance: float = 0.5) -> list:
+    """Word table → assembled line dicts for each of several boxes (see
+    :class:`WordLayout` for ``rows``/``counts`` and the line rules);
+    returns one top-to-bottom line list per box."""
+    layout = WordLayout(tab, rows, counts, y_tolerance)
+    return [layout.box_lines(b) for b in range(len(layout.first) - 1)]
+
+
+def lay_out_word_boxes(boxes: list, y_tolerance: float = 0.5) -> None:
+    """Lay out word boxes in one :class:`WordLayout`: each box gets its
+    ``text`` now and its lines on first read through :func:`box_lines`."""
+    layout = WordLayout(*word_box_table(boxes), y_tolerance)
+    for b, tb in enumerate(boxes):
+        tb["text"] = layout.text(b)
+        tb["_layout"] = (layout, b)
+
+
+def box_lines(tb: dict) -> list:
+    """The assembled line dicts of a textbox: its ``lines``, or, for a box
+    laid out by :func:`lay_out_word_boxes`, the lines of its word layout,
+    built on this first read.  Every reader of a box's lines goes through
+    here."""
+    lines = tb.get("lines")
+    if lines is None:
+        layout, b = tb["_layout"]
+        lines = tb["lines"] = layout.box_lines(b)
+    return lines
 
 
 def word_box_table(boxes: list) -> tuple:
-    """Word boxes → ``(table, rows, counts)`` for :func:`assemble_word_lines`:
+    """Word boxes → ``(table, rows, counts)`` for :class:`WordLayout`:
     ONE word table and each box's rows in it.  Decoded boxes carry
     ``wordtab`` views ``(table, lo, hi)`` over their batch's flat table;
     dict ``words`` (direct rows, the decoder's ``to_pylist`` fallback)
@@ -400,7 +474,7 @@ def line_word_dicts(line: dict) -> list:
 def textbox_word_dicts(textbox: dict) -> list:
     """All word dicts of an assembled textbox (crop inputs for table
     cells), lazy for array-backed lines."""
-    return [w for ln in textbox["lines"] for w in line_word_dicts(ln)]
+    return [w for ln in box_lines(textbox) for w in line_word_dicts(ln)]
 
 
 def group_lines_into_boxes(lines: list, line_margin: float = 0.4) -> list:
@@ -508,7 +582,7 @@ def textbox_text(textbox: dict) -> str:
     '\\n'-joined line texts with the trailing newline stripped
     (``libpdf/textbox.py:128-133`` removes the final LTAnno newline before
     paragraph rendering)."""
-    return "\n".join(ln["text"] for ln in textbox["lines"]).rstrip("\n")
+    return "\n".join(ln["text"] for ln in box_lines(textbox)).rstrip("\n")
 
 
 def is_whitespace_only(text: str) -> bool:

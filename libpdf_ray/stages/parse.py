@@ -53,7 +53,7 @@ def parse_batch(batch: pa.Table, cfg: PipelineConfig,
     digest of the batch's input identity (its file paths, else its doc
     ids).  This task is the only place a run decodes and lays out a
     document."""
-    rows = (decoder or _DEFAULT_DECODER).decode(batch)
+    rows = list((decoder or _DEFAULT_DECODER).decode(batch))
     doc_ids = []
     spans_col = []
     n_spans = []
@@ -61,7 +61,10 @@ def parse_batch(batch: pa.Table, cfg: PipelineConfig,
     errors = []
     counts = []
     view_rows = {name: [] for name in outputs.views} if outputs else {}
-    for row in rows:
+    for i in range(len(rows)):
+        # a decoded document, and the layout its outputs read, is released
+        # as soon as its row is built, not kept to the end of the batch
+        row, rows[i] = rows[i], None
         # poison-document discipline (SURVEY §4.2): a malformed document
         # becomes an error row, never a dead task — at 10^12 docs a single
         # raising row must not kill the batch or poison retries

@@ -30,6 +30,9 @@ unchanged on sidecar rows and on real-PDF ``pdf_bytes`` rows, and every
 output batch — 0 rows included — carries the view's declared schema.
 Each :data:`VIEWS` entry says whether its rows read ``elements``;
 ``file_meta``, ``pages`` and ``text_styles`` never run the element layout.
+When the document was laid out already (the parse task),
+``text_styles`` reads the lines of the boxes that layout kept
+(``textmodel.box_lines``) and assembles only the rest.
 A document that fails to decode or lay out contributes no rows (its span
 row carries the error).
 Colors land as nullable ``(r, g, b)`` doubles so the tables stay joinable
@@ -43,7 +46,7 @@ import pyarrow as pa
 from ..config import PipelineConfig
 from ..kernels.document import extract_document_full, selected_pages, textbox_lines
 from ..kernels.meta import parse_pdf_datetime, string_to_identifier
-from ..kernels.textmodel import hbox_from_lines, line_word_dicts
+from ..kernels.textmodel import box_lines, hbox_from_lines, line_word_dicts
 from .decoder import decode_sidecar_rows
 
 _S, _I, _F = pa.string(), pa.int32(), pa.float64()
@@ -101,12 +104,18 @@ def _link_rows(doc, elements, cfg):
 
 def _text_style_rows(doc, elements, cfg):
     # the style model is read off ALL assembled textboxes (the layout
-    # kernel the span path runs), independent of element classification
+    # kernel the span path runs), independent of element classification:
+    # the boxes this document's layout kept, through their lines, and the
+    # rest (a page crop drops boxes) assembled here
     pages = selected_pages(doc, cfg)
+    laid_cfg, laid_out = doc.get("_textboxes") or (None, {})
+    if laid_cfg != cfg:
+        laid_out = {}
     for box_idx, tb in enumerate(doc.get("textboxes") or []):
         if int(tb["page"]) not in pages:
             continue
-        lines = textbox_lines(tb, cfg)
+        laid = laid_out.get(box_idx)
+        lines = box_lines(laid) if laid is not None else textbox_lines(tb, cfg)
         hbox = hbox_from_lines(lines)
         br, bg, bb = _rgb(hbox["ncolor"])
         for line_idx, ln in enumerate(lines):

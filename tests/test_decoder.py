@@ -132,3 +132,93 @@ def test_style_masks_from_arrow_lengths():
                                           False, True, False, False]
     assert tab["_has_font"].tolist() == [False, False, True, True, False,
                                          True, False, False, False]
+
+
+def _same(a, b) -> bool:
+    """Equality that also requires equal types at every level: ``1 == 1.0``
+    and ``{} == None``-style slips fail it."""
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, dict):
+        return list(a) == list(b) and all(_same(a[k], b[k]) for k in a)
+    if isinstance(a, list):
+        return len(a) == len(b) and all(map(_same, a, b))
+    return a == b or (a != a and b != b)  # NaN equals NaN here
+
+
+def _struct_cases():
+    from libpdf_ray.schema import RAW_DOC_SCHEMA
+
+    names = RAW_DOC_SCHEMA.field("names_nodes").type
+    rows = [
+        [{"node_id": 1, "kids": [2, 3], "names": None}, None,
+         {"node_id": 2, "kids": [], "names": [
+             {"name": "a", "page": 1, "x": 1.5, "y": None}, None,
+             {"name": None, "page": None, "x": float("nan"), "y": 2.0}]}],
+        None,
+        [],
+        [{"node_id": 4, "kids": None, "names": []}, {"node_id": None, "kids": [None, 7],
+                                                     "names": [None]}],
+    ]
+    arr = pa.array(rows, names)
+    # offsets that do not start at 0: a list array over the tail of a values array
+    values = pa.array([r for row in rows if row for r in row], names.value_type)
+    tail = pa.ListArray.from_arrays(pa.array([2, 3, 3, 5], pa.int32()), values)
+    nested = pa.array(
+        [{"p": {"q": 1, "r": [1.0]}, "s": "x"}, None, {"p": None, "s": None},
+         {"p": {"q": None, "r": None}, "s": "y"}],
+        pa.struct([("p", pa.struct([("q", pa.int64()), ("r", pa.list_(pa.float64()))])),
+                   ("s", pa.string())]))
+    return {
+        "whole": arr,
+        "sliced": arr.slice(1, 3),
+        "sliced_inner": arr.slice(3),
+        "empty_slice": arr.slice(2, 0),
+        "offsets_not_zero": tail,
+        "chunks": pa.chunked_array([arr.slice(0, 2), arr.slice(1), tail]),
+        "no_chunks": pa.chunked_array([], names),
+        "struct_of_struct": nested.slice(1),
+        "list_of_struct_of_struct": pa.ListArray.from_arrays(
+            pa.array([0, 1, 1, 4], pa.int32()), nested, mask=pa.array([False, True, False])),
+    }
+
+
+def test_struct_columns_decode_like_to_pylist():
+    """The field-wise list<struct> decode equals ``to_pylist`` value for
+    value and type for type: null rows, null struct elements, empty
+    lists, nested list<int32> and list<struct>, several chunks and sliced
+    arrays whose offsets do not start at 0."""
+    from libpdf_ray.stages.decoder import _column_values
+
+    for name, arr in _struct_cases().items():
+        assert _same(_column_values(arr), arr.to_pylist()), name
+
+
+def test_decoded_columns_equal_to_pylist_on_fixture_rows():
+    """Every non-textbox column of a decoded fixture batch (every family)
+    equals its ``to_pylist`` rows, types included."""
+    batch = _sidecar_batch(len(DEFAULT_FAMILIES))
+    for doc, want in zip(decode_sidecar_rows(batch), batch.to_pylist()):
+        for key in want:
+            if key != "textboxes":
+                assert _same(doc[key], want[key]), key
+
+
+def test_foreign_textboxes_schema_takes_to_pylist_fallback():
+    """A textboxes column whose ``chars`` lost its struct type (a
+    schema-inferred ingest of all-null chars) decodes through plain
+    ``to_pylist``, whole rows unchanged."""
+    from libpdf_ray.schema import WORD_STRUCT
+
+    box = pa.struct([("page", pa.int32()), ("x0", pa.float64()), ("y0", pa.float64()),
+                     ("x1", pa.float64()), ("y1", pa.float64()),
+                     ("words", pa.list_(WORD_STRUCT)), ("chars", pa.list_(pa.null()))])
+    word = {"text": "w", "x0": 1.0, "y0": 2.0, "x1": 3.0, "y1": 4.0,
+            "ncolor": None, "fontname": None}
+    batch = pa.table({
+        "doc_id": pa.array(["d0", "d1"]),
+        "textboxes": pa.array([[{"page": 1, "x0": 0.0, "y0": 0.0, "x1": 9.0, "y1": 9.0,
+                                 "words": [word], "chars": None}], None], pa.list_(box)),
+        "pages": pa.array([[{"number": 1}], []], pa.list_(pa.struct([("number", pa.int32())]))),
+    })
+    assert _same(decode_sidecar_rows(batch), batch.to_pylist())
